@@ -18,7 +18,8 @@ ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
 # convex hull / width
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
-WIDTH_CLAMP = 1e-3           # reported width is clamped to pi/2, raw value kept
+NULL_DEPTH_CUT = 1e-6        # width samples with 1+z3^2-z1^2-z2^2 below this hug the null boundary
+WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
 
 # discrete surfaces
 SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph

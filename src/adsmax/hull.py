@@ -20,7 +20,7 @@ from scipy.spatial import QhullError
 
 from . import lorentz as L
 from .boundary import BoundaryCurve
-from .constants import HULL_FACET_TOL, VERTICAL_FACET_TOL, WIDTH_CLAMP
+from .constants import HULL_FACET_TOL, NULL_DEPTH_CUT, VERTICAL_FACET_TOL
 from .mesh import DiskMesh
 
 
@@ -199,13 +199,14 @@ def _refine_width_pair(hull: ConvexHull3, fp: int, ff: int, bp, bf):
 def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     """Width candidates from the facet-plane duality.
 
-    For a (past, future) facet pair the unconstrained maximizer of the
-    separation lies on the common normal geodesic, which passes through the
-    two facet planes' dual points, so its value is delta(d1, d2) and the
-    feet have closed forms.  Feet landing inside both facets settle the
-    pair exactly; otherwise clamping the feet into the simplexes gives a
-    strong seed for the constrained pattern search.  Returns
-    (exact or None, [(value, fp, ff, bary_p, bary_f), ...]).
+    For a (past, future) facet pair the common normal geodesic passes
+    through the two facet planes' dual points; its feet have closed forms
+    and are separated by delta(d1, d2).  The feet are a critical point of
+    the separation, not its maximum over the pair (sampled points on a
+    facet pair can exceed delta), so they only give candidates: the best
+    pair of feet landing inside both facets, and, clamped into the
+    simplexes, seeds for the constrained pattern search.  Returns
+    (candidate or None, [(value, fp, ff, bary_p, bary_f), ...]).
     """
     eq = hull.equations
     a, b = eq[:, :3], eq[:, 3]
@@ -243,10 +244,8 @@ def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     sd = np.sin(delta)[:, None]
     v1 = (d2 - np.cos(delta)[:, None] * d1) / sd   # feet up to sign
     v2 = (d1 - np.cos(delta)[:, None] * d2) / sd
-    # pick the representative in the chart (positive third component)
-    v1 = np.where(v1[:, 2:3] > 0, v1, -v1)
-    v2 = np.where(v2[:, 2:3] > 0, v2, -v2)
-    good = (v1[:, 2] > 1e-12) & (v2[:, 2] > 1e-12)
+    # the chart image v[:, [0,1,3]] / v[:, 2] does not see the sign of v
+    good = (np.abs(v1[:, 2]) > 1e-12) & (np.abs(v2[:, 2]) > 1e-12)
     ip, jf = ip[good], jf[good]
     delta, v1, v2 = delta[good], v1[good], v2[good]
     if len(ip) == 0:
@@ -258,12 +257,12 @@ def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     bar2 = barycentric(fut[jf], z2)
     inside = (bar1 > -1e-7).all(axis=1) & (bar2 > -1e-7).all(axis=1) & ordered
 
-    exact = None
+    feet = None
     if inside.any():
         k = np.where(inside)[0][np.argmax(delta[inside])]
-        exact = (float(delta[k]),
-                 L.projective_to_quadric(z1[k]),
-                 L.projective_to_quadric(z2[k]))
+        feet = (float(delta[k]),
+                L.projective_to_quadric(z1[k]),
+                L.projective_to_quadric(z2[k]))
 
     # clamped-feet seeds: evaluate the separation at the simplex-projected
     # feet for every pair, keep the strongest
@@ -285,12 +284,39 @@ def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     cc = np.where(okc, -iq / np.sqrt(np.maximum(s1 * s2, 1e-300)), 2.0)
     tl = okc & (np.abs(cc) < 1.0)
     val[tl] = np.arccos(cc[tl])
-    order = np.argsort(val)[::-1][:top_k]
+    pos = np.flatnonzero(val > 0)  # a few dozen of ~10^5 pairs
+    order = pos[np.argsort(val[pos])[::-1][:top_k]]
     seeds = [
         (float(val[k]), int(past[ip[k]]), int(fut[jf[k]]), cb1[k], cb2[k])
-        for k in order if val[k] > 0
+        for k in order
     ]
-    return exact, seeds
+    return feet, seeds
+
+
+# past rows per block of the causal sweep in `width`: a 64 x N block is a few
+# MB, where the whole past x future block is hundreds
+_SWEEP_BLOCK = 64
+
+
+def _causal_min(Xs, Y, tX, tY):
+    """Per past row i, the min of -(Xs[i] . Y[j]) over the future samples j
+    with tY[j] > tX[i], and its first argmin; (inf, 0) where no j is later.
+    Works through _SWEEP_BLOCK rows at a time in two reused buffers."""
+    n = len(Xs)
+    best = np.empty(n)
+    arg = np.empty(n, dtype=np.int64)
+    buf = np.empty((_SWEEP_BLOCK, len(Y)))
+    mask = np.empty((_SWEEP_BLOCK, len(Y)), dtype=bool)
+    for lo in range(0, n, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, n)
+        c, later = buf[:hi - lo], mask[:hi - lo]
+        np.matmul(Xs[lo:hi], Y.T, out=c)
+        np.negative(c, out=c)
+        np.less_equal(tY, tX[lo:hi, None], out=later)
+        np.copyto(c, np.inf, where=later)
+        arg[lo:hi] = c.argmin(axis=1)
+        best[lo:hi] = c[np.arange(hi - lo), arg[lo:hi]]
+    return best, arg
 
 
 def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
@@ -305,8 +331,8 @@ def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
     def depth(z):
         return 1.0 + z[:, 2] ** 2 - z[:, 0] ** 2 - z[:, 1] ** 2
 
-    keep_p = depth(zp) > 1e-6
-    keep_f = depth(zf) > 1e-6
+    keep_p = depth(zp) > NULL_DEPTH_CUT
+    keep_f = depth(zf) > NULL_DEPTH_CUT
     zp, fp_id, bp = zp[keep_p], fp_id[keep_p], bp[keep_p]
     zf, ff_id, bf = zf[keep_f], ff_id[keep_f], bf[keep_f]
     if len(zp) == 0 or len(zf) == 0:
@@ -318,15 +344,7 @@ def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
     # time is a time function, so t_y > t_x decides it for timelike pairs)
     tX = np.arctan(zp[:, 2])
     tY = np.arctan(zf[:, 2])
-    Xs = X * L.SIGNATURE
-    best = np.full(len(X), np.inf)
-    arg = np.zeros(len(X), dtype=np.int64)
-    chunk = max(1, int(4e7) // max(len(Y), 1))
-    for lo in range(0, len(X), chunk):
-        c = -(Xs[lo:lo + chunk] @ Y.T)
-        c = np.where(tY[None, :] > tX[lo:lo + chunk, None], c, np.inf)
-        best[lo:lo + chunk] = c.min(axis=1)
-        arg[lo:lo + chunk] = c.argmin(axis=1)
+    best, arg = _causal_min(X * L.SIGNATURE, Y, tX, tY)
     seps = np.where(best < 1.0, np.arccos(np.clip(best, -1.0, 1.0)), 0.0)
     # local pattern refinement over the leading facet pairs removes the
     # dependence on the barycentric sampling density
@@ -348,9 +366,9 @@ def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
         )
         if val > raw:
             raw, zbest_p, zbest_f = val, zc_p, zc_f
-    # duality route: exact interior-attained optima plus clamped-feet seeds
-    # for the constrained (edge-attained) ones
-    exact, seeds = _dual_route_candidates(hull)
+    # duality route: the common-normal feet inside both facets as one more
+    # candidate, and clamped-feet seeds for the pattern search
+    feet, seeds = _dual_route_candidates(hull)
     for val0, fp, ff, cb1, cb2 in seeds:
         if (fp, ff) in seen:
             continue
@@ -360,9 +378,9 @@ def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
             raw, zbest_p, zbest_f = val, zc_p, zc_f
     qp = L.projective_to_quadric(zbest_p)
     qf = L.projective_to_quadric(zbest_f)
-    if exact is not None and exact[0] > raw:
-        raw = exact[0]
-        qp, qf = exact[1], exact[2]
+    if feet is not None and feet[0] > raw:
+        raw = feet[0]
+        qp, qf = feet[1], feet[2]
     return WidthReport(
         width=min(raw, np.pi / 2),
         width_raw=raw,

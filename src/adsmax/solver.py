@@ -36,6 +36,7 @@ from .constants import (
     MEAN_CURV_TOL,
     SPACELIKE_MARGIN,
     STEP_UNDERFLOW,
+    WIDTH_REJECT_GAP,
 )
 
 
@@ -54,7 +55,7 @@ class SolveConfig:
     tol_H: float = MEAN_CURV_TOL
     max_newton: int = 60
     margin_target: float = SPACELIKE_MARGIN
-    width_reject: float = 1e-3       # reject if width >= pi/2 - this
+    width_reject: float = WIDTH_REJECT_GAP  # reject if width >= pi/2 - this
     flow_budget: int = 4000
     flow_ds_growth: float = 1.3
     flow_inflation: float = 1.5

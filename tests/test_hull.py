@@ -83,6 +83,32 @@ class TestWidth:
         assert kind == "timelike"
         assert val == pytest.approx(w.width_raw, abs=1e-9)
 
+    def test_every_route_is_needed(self):
+        # the dense sweep sets the first value (the duality route alone gives
+        # 0.3671095), the duality route the second (the dense sweep and its
+        # refinement alone give 0.1038711)
+        w = HU.width(HU.convex_hull(step_curve(0.5)))
+        assert w.width_raw >= 0.367121806734 - 1e-12
+        w = HU.width(HU.convex_hull(B.lift_graph(B.bump_family(0.6), 512)))
+        assert w.width_raw >= 0.105823187130 - 1e-12
+
+    def test_blocked_sweep_matches_one_shot(self):
+        rng = np.random.default_rng(3)
+        n, m = 2 * HU._SWEEP_BLOCK + 23, 40
+        Xs, Y = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
+        tX, tY = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+        tX[5] = tY.max()  # no later future sample
+        c0 = np.where(tY > tX[0], -(Xs[0] @ Y.T), np.inf)
+        j = int(c0.argmin())
+        Y, tY = np.vstack([Y, Y[j]]), np.append(tY, tY[j])  # a tie in row 0
+
+        best, arg = HU._causal_min(Xs, Y, tX, tY)
+        c = np.where(tY[None, :] > tX[:, None], -(Xs @ Y.T), np.inf)
+        assert np.array_equal(best, c.min(axis=1))
+        assert np.array_equal(arg, c.argmin(axis=1))
+        assert arg[0] == j
+        assert best[5] == np.inf and arg[5] == 0
+
 
 class TestContains:
     def test_hull_vertex_margin_zero(self):
