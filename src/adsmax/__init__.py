@@ -1,10 +1,10 @@
 """Maximal spacelike surfaces in anti-de Sitter 3-space.
 
-Subpackages follow the pipeline: `lorentz` (exact geometry kernel),
+Modules follow the pipeline: `lorentz` (exact geometry kernel),
 `boundary` (circle homeomorphisms and their lifted graphs), `hull`
 (convex hulls and the width statistic), `mesh`/`surface` (discrete
 spacelike graphs and curvature), `solver` (mean curvature flow and
-damped Newton), `lagrangian` (minimal Lagrangian extraction), `cli`.
+damped Newton), with tolerances in `constants`.
 """
 
 from . import constants

@@ -115,11 +115,6 @@ class CircleHomeo:
         out = np.mod(self.lift(x), TWO_PI)
         return out if np.ndim(out) else float(out)
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self._interp.derivative()(np.mod(x, TWO_PI))
-        return out if out.ndim else float(out)
-
     def is_identity(self, tol=1e-12) -> bool:
         return bool(np.abs(self.knots_y - self.knots_x).max() < tol)
 

@@ -8,9 +8,8 @@ no module hard-codes its own numbers.
 # geometry kernel
 QUADRIC_RENORM_TOL = 1e-12   # |<v,v>+1| after renormalization
 EXACT_TOL = 1e-10            # closed-form identities (isometry, duality, geodesics)
-CAUSAL_CLASS_TOL = 1e-10     # deciding timelike/null/spacelike of a normalized vector
+CAUSAL_CLASS_TOL = 1e-8      # deciding timelike/null/spacelike of a normalized vector
 ORTHO_TOL = 1e-8             # <p,v>=0 precondition of the geodesic exponential
-PLANE_LAND_TOL = 1e-8        # landing on the reference plane after a ruling isometry
 
 # boundary curves
 ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
@@ -19,16 +18,19 @@ ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
 NULL_DEPTH_CUT = 1e-6        # width samples with 1+z3^2-z1^2-z2^2 below this hug the null boundary
+BARY_INSIDE_SLACK = 1e-7     # barycentric slack for duality feet counted inside a facet
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
 
 # discrete surfaces
 SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
 MARGIN_FLOOR = 1e-7          # graphs below this margin are rejected outright
 BOUNDARY_MASK_RINGS = 2      # curvature diagnostics masked this close to the rim
-DEGENERATE_DETB_TOL = 1e-6   # |det B + 1| below this -> mu_l/mu_r degenerate
 CHI_MASK_TOL = 1e-8          # |det B| below this -> chi is masked (flat spot)
 
 # solvers
 MEAN_CURV_TOL = 1e-6         # terminal max-norm of H ("tol_H")
 STEP_UNDERFLOW = 1e-12       # flow step size below this aborts
-HULL_CONTAIN_MARGIN = -1e-3  # iterates must stay inside the hull within this margin
+MAX_NEWTON = 60              # Newton iterations per exhaustion stage
+FLOW_BUDGET = 4000           # flow steps in flow_run
+FLOW_DS_GROWTH = 1.3         # flow step growth after an accepted step
+FLOW_INFLATION = 1.5         # a flow step may raise sup|H| by at most this factor

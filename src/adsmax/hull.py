@@ -20,8 +20,13 @@ from scipy.spatial import QhullError
 
 from . import lorentz as L
 from .boundary import BoundaryCurve
-from .constants import HULL_FACET_TOL, NULL_DEPTH_CUT, VERTICAL_FACET_TOL
-from .mesh import DiskMesh
+from .constants import (
+    BARY_INSIDE_SLACK,
+    HULL_FACET_TOL,
+    NULL_DEPTH_CUT,
+    VERTICAL_FACET_TOL,
+)
+from .mesh import DiskMesh, neighbor_average
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,6 @@ class ConvexHull3:
     equations: np.ndarray | None   # (F,4): a.z + b <= 0 inside
     simplices: np.ndarray | None   # (F,3) indices into points
     labels: np.ndarray | None      # (F,): -1 past, 0 vertical, +1 future
-
-    @property
-    def n_facets(self) -> int:
-        return 0 if self.equations is None else len(self.equations)
 
     def facet_margins(self, z):
         """Signed distances of chart point(s) z to all facet planes
@@ -73,7 +74,7 @@ def _recentered_samples(curve: BoundaryCurve):
     return t0, z
 
 
-def convex_hull(curve: BoundaryCurve, min_samples: int = 4) -> ConvexHull3:
+def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
     """Hull of the projective images of the curve samples.
 
     Totally geodesic boundary data (Mobius curves) degenerates to a planar
@@ -81,8 +82,6 @@ def convex_hull(curve: BoundaryCurve, min_samples: int = 4) -> ConvexHull3:
     parameter spacing (images under boosts) are resampled uniformly first,
     so the facet geometry stays comparable across isometric copies.
     """
-    if len(curve.theta) < min_samples:
-        raise ValueError("need at least 4 curve samples")
     dth = np.diff(np.concatenate([curve.theta, [curve.theta[0] + 2 * np.pi]]))
     if dth.max() > 3.0 * dth.min():
         curve = curve.resample(len(curve.theta))
@@ -255,7 +254,8 @@ def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     ordered = z2[:, 2] > z1[:, 2]
     bar1 = barycentric(past[ip], z1)
     bar2 = barycentric(fut[jf], z2)
-    inside = (bar1 > -1e-7).all(axis=1) & (bar2 > -1e-7).all(axis=1) & ordered
+    inside = ((bar1 > -BARY_INSIDE_SLACK).all(axis=1)
+              & (bar2 > -BARY_INSIDE_SLACK).all(axis=1) & ordered)
 
     feet = None
     if inside.any():
@@ -285,7 +285,8 @@ def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
     tl = okc & (np.abs(cc) < 1.0)
     val[tl] = np.arccos(cc[tl])
     pos = np.flatnonzero(val > 0)  # a few dozen of ~10^5 pairs
-    order = pos[np.argsort(val[pos])[::-1][:top_k]]
+    # descending; a stable sort keeps tied values in pair order
+    order = pos[np.argsort(-val[pos], kind="stable")[:top_k]]
     seeds = [
         (float(val[k]), int(past[ip[k]]), int(fut[jf[k]]), cb1[k], cb2[k])
         for k in order
@@ -565,12 +566,7 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
 
     # cone points of the envelope (candidate extremizers): largest positive
     # jump of u_minus below its neighborhood average
-    e = vertex_neighbors_cached(mesh)
-    nbr_sum = np.zeros(mesh.n_vertices)
-    nbr_cnt = np.zeros(mesh.n_vertices)
-    np.add.at(nbr_sum, e[:, 0], u_minus[e[:, 1]])
-    np.add.at(nbr_cnt, e[:, 0], 1.0)
-    sharp = nbr_sum / np.maximum(nbr_cnt, 1) - u_minus
+    sharp = neighbor_average(mesh, u_minus) - u_minus
     apex_starts = np.argsort(sharp)[-4:]
 
     def inner_max(j):
@@ -624,9 +620,3 @@ def _pattern_search(f, y0, scale0=0.2, shrink=0.5, n_scales=14):
                     best, y, moved = val, cand, True
         s *= shrink
     return best
-
-
-def vertex_neighbors_cached(mesh: DiskMesh):
-    from .mesh import vertex_neighbors
-
-    return vertex_neighbors(mesh)

@@ -69,18 +69,6 @@ def poincare_to_hyperboloid(y):
     return np.stack([2 * y[..., 0] / d, 2 * y[..., 1] / d, (1 + r2) / d], axis=-1)
 
 
-def hyperboloid_to_poincare(h):
-    h = np.asarray(h, dtype=float)
-    return h[..., :2] / (1.0 + h[..., 2])[..., None]
-
-
-def lapse(y):
-    """phi(y) = (1+|y|^2)/(1-|y|^2), the norm of the time Killing field."""
-    y = np.asarray(y, dtype=float)
-    r2 = (y * y).sum(axis=-1)
-    return (1 + r2) / (1 - r2)
-
-
 def cyl_to_quadric(y, t):
     """Cylinder chart (y, t) -> quadric point(s), shape (...,4)."""
     h = poincare_to_hyperboloid(y)
@@ -194,11 +182,11 @@ def geodesic_exp(p, v, s):
         raise ValueError("v is not orthogonal to p")
     q = inner(v, v)
     s = np.asarray(s, dtype=float)
-    if abs(q + 1.0) <= max(CAUSAL_CLASS_TOL, 1e-8):
+    if abs(q + 1.0) <= CAUSAL_CLASS_TOL:
         out = np.cos(s)[..., None] * p + np.sin(s)[..., None] * v
-    elif abs(q) <= max(CAUSAL_CLASS_TOL, 1e-8):
+    elif abs(q) <= CAUSAL_CLASS_TOL:
         out = p + s[..., None] * v
-    elif abs(q - 1.0) <= max(CAUSAL_CLASS_TOL, 1e-8):
+    elif abs(q - 1.0) <= CAUSAL_CLASS_TOL:
         out = np.cosh(s)[..., None] * p + np.sinh(s)[..., None] * v
     else:
         raise ValueError("v must be normalized to <v,v> in {-1, 0, +1}")
@@ -559,27 +547,3 @@ def leftright_to_P0(plane: SpacelikePlane):
         Isometry3(MobiusMap.identity(), m.inverse()),
         Isometry3(m, MobiusMap.identity()),
     )
-
-
-def reference_plane_coords(q, tol=None):
-    """Poincare coordinates of quadric point(s) lying on the reference plane.
-
-    Accepts either sign lift (flips x3 < 0 representatives); raises if the
-    x4 component exceeds tol.
-    """
-    from .constants import PLANE_LAND_TOL
-
-    x = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
-    x = np.where(x[..., 2:3] < 0, -x, x)
-    if np.any(np.abs(x[..., 3]) > (PLANE_LAND_TOL if tol is None else tol)):
-        raise ValueError("point does not lie on the reference plane")
-    return x[..., :2] / (1.0 + np.hypot(x[..., 2], x[..., 3]))[..., None]
-
-
-# fault-injection hook for the verification suite (test builds only): scales
-# the timelike geodesic branch, breaking the antipode identity
-_GEODESIC_FAULT = {"scale": 1.0}
-
-
-def _exp_for_verify(p, v, s):
-    return geodesic_exp(p, v, s * _GEODESIC_FAULT["scale"])

@@ -11,12 +11,24 @@ grading, so quality audits report the fan separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse as sp
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class DiskMesh:
+    """A triangulated disk.  Data derived from the mesh alone (edges,
+    stencils, FEM geometry) is computed on first use and cached on the
+    instance, read-only, so it lives exactly as long as the mesh."""
+
     vertices: np.ndarray      # (N,2) Poincare coordinates
     triangles: np.ndarray     # (M,3) CCW
     rho: np.ndarray           # (N,) hyperbolic radius of each vertex
@@ -47,6 +59,68 @@ class DiskMesh:
         if i == 0:
             return slice(0, 1)
         return slice(1 + (i - 1) * self.n_angular, 1 + i * self.n_angular)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Directed edge list (i, k): every triangle edge both ways, sorted."""
+        t = self.triangles
+        e = np.concatenate(
+            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]],
+             t[:, [1, 0]], t[:, [2, 1]], t[:, [0, 2]]]
+        )
+        return _read_only(np.unique(e, axis=0))
+
+    @cached_property
+    def two_ring_pairs(self) -> np.ndarray:
+        """COO pairs (i, k) with k in the 2-ring neighborhood of i (k != i)."""
+        e = vertex_neighbors(self)
+        n = self.n_vertices
+        A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                          shape=(n, n)).tocsr()
+        A2 = (A + A @ A).tocoo()
+        keep = A2.row != A2.col
+        return _read_only(np.stack([A2.row[keep], A2.col[keep]], axis=-1))
+
+    @cached_property
+    def fem(self) -> MappingProxyType:
+        """P1 geometry reused by every assembly over the mesh: per-triangle
+        area, basis gradients, midpoint-quadrature weights and slope limit,
+        and the lumped mass m_i = integral phi lambda^2 N_i."""
+        t = self.triangles
+        p = self.vertices[t]  # (M,3,2)
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
+        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        # P1 basis gradients: rows (M, 3 basis, 2)
+        grads = np.empty((len(t), 3, 2))
+        for k in range(3):
+            a = p[:, (k + 1) % 3]
+            b = p[:, (k + 2) % 3]
+            n = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=-1)
+            grads[:, k] = n / (2 * area)[:, None]
+        # midpoint quadrature (degree-2 exact): points opposite each vertex
+        mids = np.stack(
+            [(p[:, 1] + p[:, 2]) / 2, (p[:, 2] + p[:, 0]) / 2,
+             (p[:, 0] + p[:, 1]) / 2],
+            axis=1,
+        )  # (M,3,2)
+        r2q = (mids**2).sum(axis=-1)                  # (M,3)
+        wq = (1 + r2q) / 2                            # phi / lambda
+        phiq = (1 + r2q) / (1 - r2q)
+        lam2q = 4 / (1 - r2q) ** 2
+        r2max = (p**2).sum(axis=-1).max(axis=1)       # outermost vertex of each cell
+        slope_limit2 = 4.0 / (1 + r2max) ** 2
+        w = phiq * lam2q  # (M,3) at midpoints opposite each vertex
+        mass = np.zeros(self.n_vertices)
+        for k in range(3):
+            # N_k vanishes at its opposite midpoint and is 1/2 at the other two
+            contrib = (w.sum(axis=1) - w[:, k]) * 0.5 * area / 3.0
+            np.add.at(mass, t[:, k], contrib)
+        geom = dict(
+            area=area, grads=grads, wq=wq, phiq=phiq, lam2q=lam2q,
+            slope_limit2=slope_limit2, mass=mass,
+        )
+        return MappingProxyType({k: _read_only(v) for k, v in geom.items()})
 
 
 def ring_radii(radius: float, n_rings: int, n_angular: int,
@@ -184,12 +258,17 @@ def quality_report(mesh: DiskMesh) -> dict:
 
 def vertex_neighbors(mesh: DiskMesh):
     """Directed edge list (i, k): every triangle edge both ways."""
-    t = mesh.triangles
-    e = np.concatenate(
-        [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]],
-         t[:, [1, 0]], t[:, [2, 1]], t[:, [0, 2]]]
-    )
-    return np.unique(e, axis=0)
+    return mesh.edges
+
+
+def neighbor_average(mesh: DiskMesh, u):
+    """Per vertex, the mean of u over its mesh neighbours."""
+    e = vertex_neighbors(mesh)
+    acc = np.zeros(mesh.n_vertices)
+    cnt = np.zeros(mesh.n_vertices)
+    np.add.at(acc, e[:, 0], u[e[:, 1]])
+    np.add.at(cnt, e[:, 0], 1.0)
+    return acc / np.maximum(cnt, 1.0)
 
 
 def interpolate_polar(mesh: DiskMesh, values, rho_t, theta_t):

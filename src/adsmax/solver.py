@@ -32,7 +32,10 @@ from . import lorentz as L
 from . import mesh as MS
 from . import surface as SF
 from .constants import (
-    HULL_CONTAIN_MARGIN,
+    FLOW_BUDGET,
+    FLOW_DS_GROWTH,
+    FLOW_INFLATION,
+    MAX_NEWTON,
     MEAN_CURV_TOL,
     SPACELIKE_MARGIN,
     STEP_UNDERFLOW,
@@ -51,15 +54,7 @@ class SolveRejected(RuntimeError):
 @dataclass
 class SolveConfig:
     stages: tuple = ((1.4, 12, 40), (2.2, 20, 64), (3.0, 26, 84))
-    curve_samples: int = 512
     tol_H: float = MEAN_CURV_TOL
-    max_newton: int = 60
-    margin_target: float = SPACELIKE_MARGIN
-    width_reject: float = WIDTH_REJECT_GAP  # reject if width >= pi/2 - this
-    flow_budget: int = 4000
-    flow_ds_growth: float = 1.3
-    flow_inflation: float = 1.5
-    record_containment: bool = True
 
     def __post_init__(self):
         radii = [s[0] for s in self.stages]
@@ -67,32 +62,23 @@ class SolveConfig:
             raise ValueError("stage radii must be strictly increasing")
 
 
-def _jacobi_average(mesh: MS.DiskMesh, u):
-    e = MS.vertex_neighbors(mesh)
-    acc = np.zeros(mesh.n_vertices)
-    cnt = np.zeros(mesh.n_vertices)
-    np.add.at(acc, e[:, 0], u[e[:, 1]])
-    np.add.at(cnt, e[:, 0], 1.0)
-    return acc / np.maximum(cnt, 1.0)
-
-
-def slope_limit(mesh: MS.DiskMesh, u, target=SPACELIKE_MARGIN,
-                max_rounds=200):
+def slope_limit(mesh: MS.DiskMesh, u, max_rounds=200):
     """Pull interior values toward neighborhood averages until every
-    triangle has spacelike margin >= target; boundary values stay fixed."""
+    triangle has spacelike margin >= SPACELIKE_MARGIN; boundary values stay
+    fixed."""
     u = np.asarray(u, dtype=float).copy()
     interior = mesh.interior_mask
     for _ in range(max_rounds):
         margins = SF.triangle_margins(mesh, u)
-        if margins.min() >= target:
+        if margins.min() >= SPACELIKE_MARGIN:
             return u
-        bad = mesh.triangles[margins < target].ravel()
+        bad = mesh.triangles[margins < SPACELIKE_MARGIN].ravel()
         touch = np.zeros(mesh.n_vertices, dtype=bool)
         touch[bad] = True
         touch &= interior
         if not touch.any():
             break  # only boundary-pinned cells violate: cannot fix here
-        avg = _jacobi_average(mesh, u)
+        avg = MS.neighbor_average(mesh, u)
         u[touch] = 0.5 * (u[touch] + avg[touch])
     margins = SF.triangle_margins(mesh, u)
     if margins.min() < 0.0:
@@ -110,8 +96,7 @@ def boundary_trace(curve: BD.BoundaryCurve, mesh: MS.DiskMesh):
 
 
 def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-                  chull: HU.ConvexHull3 | None = None,
-                  margin_target: float = SPACELIKE_MARGIN) -> SF.SpacelikeGraph:
+                  chull: HU.ConvexHull3 | None = None) -> SF.SpacelikeGraph:
     """Hull-midsurface start: u0 = (lower + upper hull heights)/2 with the
     radial boundary trace clamped into the hull interval, one smoothing
     pass, then slope limiting.
@@ -127,9 +112,9 @@ def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
     bm = mesh.boundary_mask
     u0[bm] = np.clip(boundary_trace(curve, mesh), t_lo[bm], t_hi[bm])
     interior = mesh.interior_mask
-    avg = _jacobi_average(mesh, u0)
+    avg = MS.neighbor_average(mesh, u0)
     u0[interior] = avg[interior]
-    u0 = slope_limit(mesh, u0, target=margin_target)
+    u0 = slope_limit(mesh, u0)
     return SF.SpacelikeGraph.certify(mesh, u0, floor=0.0)
 
 
@@ -143,8 +128,7 @@ def _interior_solve(K, rhs, interior):
 def residual_norms(mesh: MS.DiskMesh, u):
     """(sup |H| over interior, residual F, margins)."""
     F, margins = SF.residual(mesh, u)
-    m = SF.lumped_mass(mesh)
-    H = -F / m
+    H = -F / mesh.fem["mass"]
     sup = float(np.abs(H[mesh.interior_mask]).max())
     return sup, F, margins
 
@@ -167,12 +151,9 @@ class FlowState:
 
 
 def flow_init(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-              cfg: SolveConfig | None = None,
               chull: HU.ConvexHull3 | None = None) -> FlowState:
-    cfg = cfg or SolveConfig()
-    S = initial_graph(curve, mesh, chull, cfg.margin_target)
-    g = SF.fem_geometry(mesh)
-    h_min = float(np.sqrt(2 * g["area"].min()))
+    S = initial_graph(curve, mesh, chull)
+    h_min = float(np.sqrt(2 * mesh.fem["area"].min()))
     return FlowState(surface=S, s=0.0, ds=h_min**2 / 4.0, u0=S.u.copy())
 
 
@@ -184,7 +165,7 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
     u = state.surface.u
     interior = mesh.interior_mask
     supH, F, _ = residual_norms(mesh, u)
-    m = SF.lumped_mass(mesh)
+    m = mesh.fem["mass"]
     y = mesh.vertices
     r2 = (y**2).sum(axis=1)
     phi = (1 + r2) / (1 - r2)
@@ -210,7 +191,7 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
             ds *= 0.5
             continue
         supH_new, _, _ = residual_norms(mesh, u_new)
-        if supH_new > cfg.flow_inflation * max(supH, cfg.tol_H):
+        if supH_new > FLOW_INFLATION * max(supH, cfg.tol_H):
             ds *= 0.5
             continue
         break
@@ -223,7 +204,7 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
         "max_du": float(np.abs(u_new - state.u0).max()),
         "margin": float(margins.min()),
     }
-    if chull is not None and cfg.record_containment:
+    if chull is not None:
         entry["hull_margin"] = float(
             HU.graph_margins(chull, mesh, u_new).min()
         )
@@ -231,7 +212,7 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
     return FlowState(
         surface=SF.SpacelikeGraph(mesh, u_new, float(margins.min())),
         s=s_new,
-        ds=min(ds * cfg.flow_ds_growth, 1.0),
+        ds=min(ds * FLOW_DS_GROWTH, 1.0),
         u0=state.u0,
         history=state.history,
         converged=supH_new < cfg.tol_H,
@@ -243,7 +224,7 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
     """Run the flow until sup|H| < tol_H or the step budget is exhausted."""
     cfg = cfg or SolveConfig()
     chull = HU.convex_hull(curve)
-    state = flow_init(curve, mesh, cfg, chull)
+    state = flow_init(curve, mesh, chull)
     supH, _, _ = residual_norms(mesh, state.surface.u)
     if supH < cfg.tol_H:
         state.converged = True
@@ -251,7 +232,7 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
                               "max_du": 0.0,
                               "margin": state.surface.margin})
         return state
-    for _ in range(cfg.flow_budget):
+    for _ in range(FLOW_BUDGET):
         state = flow_step(state, cfg, chull)
         if state.converged:
             break
@@ -285,10 +266,10 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
     interior = mesh.interior_mask
     hist = []
     stagnant = 0
-    for it in range(cfg.max_newton):
+    for it in range(MAX_NEWTON):
         supH, F, margins = residual_norms(mesh, u)
         entry = {"iter": it, "sup_H": supH, "margin": float(margins.min())}
-        if chull is not None and cfg.record_containment:
+        if chull is not None:
             entry["hull_margin"] = float(
                 HU.graph_margins(chull, mesh, u).min())
         hist.append(entry)
@@ -315,22 +296,21 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
             return u, {"converged": False, "iterations": it,
                        "history": hist, "stagnated": True}
     supH, _, _ = residual_norms(mesh, u)
-    return u, {"converged": supH < cfg.tol_H, "iterations": cfg.max_newton,
+    return u, {"converged": supH < cfg.tol_H, "iterations": MAX_NEWTON,
                "history": hist}
 
 
-def warm_start(curve, mesh, prev_mesh, prev_u, chull,
-               margin_target=SPACELIKE_MARGIN):
+def warm_start(curve, mesh, prev_mesh, prev_u, chull):
     """Interpolate the previous stage in polar coordinates, fall back to
     the hull midsurface outside its radius, re-limit the slopes."""
-    base = initial_graph(curve, mesh, chull, margin_target).u
+    base = initial_graph(curve, mesh, chull).u
     inside = mesh.rho <= prev_mesh.radius * 0.98
     inside &= mesh.interior_mask
     vals = MS.interpolate_polar(prev_mesh, prev_u,
                                 mesh.rho[inside], mesh.theta[inside])
     u0 = base.copy()
     u0[inside] = vals
-    return slope_limit(mesh, u0, target=margin_target)
+    return slope_limit(mesh, u0)
 
 
 def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
@@ -345,7 +325,7 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
     cfg = cfg or SolveConfig()
     chull = HU.convex_hull(curve)
     wrep = HU.width(chull)
-    if wrep.width >= np.pi / 2 - cfg.width_reject:
+    if wrep.width >= np.pi / 2 - WIDTH_REJECT_GAP:
         raise SolveRejected(
             f"boundary width {wrep.width_raw:.6f} reaches pi/2: "
             "data contains (or limits on) lightlike segments",
@@ -364,10 +344,9 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         mesh = MS.make_mesh(radius, n_rings, n_angular)
         try:
             if prev_mesh is None:
-                u0 = initial_graph(curve, mesh, chull, cfg.margin_target).u
+                u0 = initial_graph(curve, mesh, chull).u
             else:
-                u0 = warm_start(curve, mesh, prev_mesh, prev_u, chull,
-                                cfg.margin_target)
+                u0 = warm_start(curve, mesh, prev_mesh, prev_u, chull)
         except SolveRejected as exc:
             raise SolveRejected(str(exc), width_report=wrep) from exc
         u, info = newton_solve(mesh, u0, cfg, chull)
@@ -399,19 +378,3 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         HU.graph_margins(chull, prev_mesh, prev_u).min())
     report["converged"] = bool(report["stages"][-1]["converged"])
     return S, report
-
-
-def solve_on_mesh(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-                  cfg: SolveConfig | None = None, boundary_values=None):
-    """Single-mesh Newton solve.  boundary_values overrides the radial
-    trace (used for closed-form comparisons with matching Dirichlet data)."""
-    cfg = cfg or SolveConfig()
-    chull = HU.convex_hull(curve)
-    S0 = initial_graph(curve, mesh, chull, cfg.margin_target)
-    u0 = S0.u.copy()
-    if boundary_values is not None:
-        u0[mesh.boundary_mask] = boundary_values
-        u0 = slope_limit(mesh, u0, target=min(cfg.margin_target, 1e-4))
-    u, info = newton_solve(mesh, u0, cfg, chull)
-    info["hull_margin"] = float(HU.graph_margins(chull, mesh, u).min())
-    return SF.SpacelikeGraph.certify(mesh, u, floor=0.0), info

@@ -43,55 +43,15 @@ from .constants import (
 )
 from .mesh import DiskMesh, vertex_neighbors
 
-_GEOM_CACHE: dict[int, tuple] = {}
-
-
-def fem_geometry(mesh: DiskMesh):
-    """Per-triangle quantities reused by every assembly over a mesh."""
-    key = id(mesh)
-    hit = _GEOM_CACHE.get(key)
-    if hit is not None and hit[0] is mesh:
-        return hit[1]
-    t = mesh.triangles
-    p = mesh.vertices[t]  # (M,3,2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    # P1 basis gradients: rows (M, 3 basis, 2)
-    grads = np.empty((len(t), 3, 2))
-    for k in range(3):
-        a = p[:, (k + 1) % 3]
-        b = p[:, (k + 2) % 3]
-        n = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=-1)
-        grads[:, k] = n / (2 * area)[:, None]
-    # midpoint quadrature (degree-2 exact): points opposite each vertex
-    mids = np.stack(
-        [(p[:, 1] + p[:, 2]) / 2, (p[:, 2] + p[:, 0]) / 2, (p[:, 0] + p[:, 1]) / 2],
-        axis=1,
-    )  # (M,3,2)
-    r2q = (mids**2).sum(axis=-1)                  # (M,3)
-    wq = (1 + r2q) / 2                            # phi / lambda
-    phiq = (1 + r2q) / (1 - r2q)
-    lam2q = 4 / (1 - r2q) ** 2
-    r2max = (p**2).sum(axis=-1).max(axis=1)       # outermost vertex of each cell
-    slope_limit2 = 4.0 / (1 + r2max) ** 2
-    geom = dict(
-        area=area, grads=grads, wq=wq, phiq=phiq, lam2q=lam2q,
-        slope_limit2=slope_limit2,
-    )
-    _GEOM_CACHE[key] = (mesh, geom)
-    return geom
-
-
 def triangle_gradients(mesh: DiskMesh, u):
-    g = fem_geometry(mesh)
+    g = mesh.fem
     ut = np.asarray(u, dtype=float)[mesh.triangles]  # (M,3)
     return np.einsum("mk,mkd->md", ut, g["grads"])
 
 
 def triangle_margins(mesh: DiskMesh, u):
     """Per-triangle spacelike margin 1 - |grad u|^2 / slope_limit^2."""
-    g = fem_geometry(mesh)
+    g = mesh.fem
     gu = triangle_gradients(mesh, u)
     return 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
 
@@ -113,7 +73,7 @@ class SpacelikeGraph:
 
 def recovered_gradient(mesh: DiskMesh, u):
     """Area-weighted per-vertex gradient of a P1 function."""
-    g = fem_geometry(mesh)
+    g = mesh.fem
     gu = triangle_gradients(mesh, u)
     acc = np.zeros((mesh.n_vertices, 2))
     wsum = np.zeros(mesh.n_vertices)
@@ -126,7 +86,7 @@ def recovered_gradient(mesh: DiskMesh, u):
 def residual(mesh: DiskMesh, u):
     """F_i(u) = integral phi^2 v grad u . grad N_i; the negative of the
     area gradient.  Returns (F, per-triangle margins)."""
-    g = fem_geometry(mesh)
+    g = mesh.fem
     gu = triangle_gradients(mesh, u)
     margins = 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
     vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
@@ -140,47 +100,15 @@ def residual(mesh: DiskMesh, u):
     return F, margins
 
 
-def lumped_mass(mesh: DiskMesh):
-    """m_i = integral phi lambda^2 N_i, midpoint quadrature."""
-    g = fem_geometry(mesh)
-    w = g["phiq"] * g["lam2q"]  # (M,3) at midpoints opposite each vertex
-    m = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        # N_k vanishes at its opposite midpoint and is 1/2 at the other two
-        contrib = (w.sum(axis=1) - w[:, k]) * 0.5 * g["area"] / 3.0
-        np.add.at(m, mesh.triangles[:, k], contrib)
-    return m
-
-
 def mean_curvature(S: SpacelikeGraph):
     """Discrete-operator H: the residual/lumped-mass ratio whose zero set is
     the discrete maximal surface.  Exact for the converged solve; as a
     pointwise estimator it carries stencil-asymmetry bias, so refinement
     studies should use mean_curvature_pointwise.  Rim rows are NaN."""
     F, _ = residual(S.mesh, S.u)
-    m = lumped_mass(S.mesh)
-    H = -F / m
+    H = -F / S.mesh.fem["mass"]
     H[S.mesh.boundary_mask] = np.nan
     return H
-
-
-_STENCIL_CACHE: dict[int, tuple] = {}
-
-
-def _two_ring_pairs(mesh: DiskMesh):
-    """COO pairs (i, k) with k in the 2-ring neighborhood of i (k != i)."""
-    key = id(mesh)
-    hit = _STENCIL_CACHE.get(key)
-    if hit is not None and hit[0] is mesh:
-        return hit[1]
-    e = vertex_neighbors(mesh)
-    n = mesh.n_vertices
-    A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n)).tocsr()
-    A2 = (A + A @ A).tocoo()
-    keep = A2.row != A2.col
-    pairs = np.stack([A2.row[keep], A2.col[keep]], axis=-1)
-    _STENCIL_CACHE[key] = (mesh, pairs)
-    return pairs
 
 
 def fit_derivatives(mesh: DiskMesh, u):
@@ -188,7 +116,7 @@ def fit_derivatives(mesh: DiskMesh, u):
     the 2-ring stencil; second derivatives are O(h^2)-consistent at interior
     vertices."""
     u = np.asarray(u, dtype=float)
-    pairs = _two_ring_pairs(mesh)
+    pairs = mesh.two_ring_pairs
     i, k = pairs[:, 0], pairs[:, 1]
     d = mesh.vertices[k] - mesh.vertices[i]
     scale = np.zeros(mesh.n_vertices)
@@ -260,7 +188,7 @@ def mean_curvature_pointwise(S: SpacelikeGraph):
 
 def tangent_stiffness(mesh: DiskMesh, u):
     """Sparse SPD Jacobian dF/du (frozen geometry, exact linearization)."""
-    g = fem_geometry(mesh)
+    g = mesh.fem
     gu = triangle_gradients(mesh, u)
     gu2 = (gu**2).sum(axis=1)
     vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], 1e-14))
@@ -288,7 +216,7 @@ def tangent_stiffness(mesh: DiskMesh, u):
 
 def graph_area(mesh: DiskMesh, u):
     """The concave area functional maximized by maximal surfaces."""
-    g = fem_geometry(mesh)
+    g = mesh.fem
     gu2 = (triangle_gradients(mesh, u) ** 2).sum(axis=1)
     integ = (g["lam2q"] * np.sqrt(
         np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], 0.0)
@@ -525,7 +453,7 @@ def shape_data(S: SpacelikeGraph, mask_rings: int = BOUNDARY_MASK_RINGS) -> Shap
 def _metric_operator(mesh: DiskMesh, metric):
     """P1 stiffness and lumped mass of a per-vertex 2x2 metric field."""
     t = mesh.triangles
-    g = fem_geometry(mesh)
+    g = mesh.fem
     M = np.asarray(metric)[t].mean(axis=1)
     Minv = np.linalg.inv(M)
     sdet = np.sqrt(np.maximum(np.linalg.det(M), 1e-300))
@@ -707,23 +635,3 @@ def equidistant(S: SpacelikeGraph, r: float,
         near = NearestNDInterpolator(y2, t2)
         u2[bad] = near(S.mesh.vertices[bad])
     return SpacelikeGraph.certify(S.mesh, u2, floor=0.0)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def surface_table(S: SpacelikeGraph, sd: ShapeData | None = None):
-    """Column dict for CSV export: y1, y2, t, u, v, H, K, k1, k2."""
-    sd = sd if sd is not None else shape_data(S)
-    Hfem = mean_curvature(S)
-    return {
-        "y1": S.mesh.vertices[:, 0],
-        "y2": S.mesh.vertices[:, 1],
-        "t": S.u,
-        "u": S.u,
-        "v": sd.v,
-        "H": Hfem,
-        "K": sd.K_ext,
-        "k1": sd.k1,
-        "k2": sd.k2,
-    }

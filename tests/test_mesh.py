@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from adsmax import mesh as MM
+from adsmax import surface as SF
 
 
 class TestMakeMesh:
@@ -72,3 +76,32 @@ class TestPolarInterp:
         vals = np.sin(m.theta) + m.rho
         out = MM.interpolate_polar(m, vals, m.rho, m.theta)
         assert np.abs(out - vals).max() < 1e-12
+
+
+class TestMeshCache:
+    def test_cache_dies_with_mesh(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        SF.triangle_margins(m, np.zeros(m.n_vertices))
+        SF.fit_derivatives(m, np.zeros(m.n_vertices))
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+
+    def test_cached_arrays_are_read_only(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        arrays = [m.edges, m.two_ring_pairs, *m.fem.values()]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(TypeError):
+            m.fem["area"] = None
+
+    def test_vertex_neighbors_matches_unique(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        t = m.triangles
+        both_ways = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]],
+                                    t[:, [1, 0]], t[:, [2, 1]], t[:, [0, 2]]])
+        ref = np.unique(both_ways, axis=0)
+        assert np.array_equal(MM.vertex_neighbors(m), ref)
+        assert MM.vertex_neighbors(m) is MM.vertex_neighbors(m)
