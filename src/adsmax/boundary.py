@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ive
 
 from . import lorentz as L
-from .constants import ACHRONAL_TOL
+from .constants import ACHRONAL_TOL, LIGHTLIKE_RUN_TOL, PLANAR_TOL
 
 TWO_PI = 2 * np.pi
 
@@ -233,15 +233,15 @@ class BoundaryCurve:
         except ValueError:
             return BoundaryCurve(q, self.tau_of_theta(q))
 
-    def max_lightlike_run(self, tol: float = 1e-9) -> int:
-        """Longest run of consecutive cells with |dtau/dtheta| >= 1 - tol.
+    def max_lightlike_run(self) -> int:
+        """Longest run of cells with |dtau/dtheta| >= 1 - LIGHTLIKE_RUN_TOL.
 
         A run of two or more flags a genuine lightlike segment (a single
         cell can be an isolated touch of a smooth graph)."""
         dth = np.diff(np.concatenate([self.theta,
                                       [self.theta[0] + TWO_PI]]))
         dta = np.diff(np.concatenate([self.tau, [self.tau[0]]]))
-        flag = np.abs(dta) >= (1.0 - tol) * dth
+        flag = np.abs(dta) >= (1.0 - LIGHTLIKE_RUN_TOL) * dth
         if flag.all():
             return len(flag)
         best = run = 0
@@ -250,11 +250,11 @@ class BoundaryCurve:
             best = max(best, run)
         return min(best, len(flag))
 
-    def is_planar(self, tol=1e-9) -> bool:
+    def is_planar(self) -> bool:
         """True when all samples lie on a totally geodesic plane (Mobius data)."""
         q = self.quadric
         _, s, _ = np.linalg.svd(q - q.mean(axis=0))
-        return bool(s[-1] < tol * max(1.0, s[0]))
+        return bool(s[-1] < PLANAR_TOL * max(1.0, s[0]))
 
     def transform(self, g: L.Isometry3) -> "BoundaryCurve":
         """Image curve under an isometry, resorted by theta."""

@@ -10,11 +10,15 @@ QUADRIC_RENORM_TOL = 1e-12   # |<v,v>+1| after renormalization
 EXACT_TOL = 1e-10            # closed-form identities (isometry, duality, geodesics)
 CAUSAL_CLASS_TOL = 1e-8      # deciding timelike/null/spacelike of a normalized vector
 ORTHO_TOL = 1e-8             # <p,v>=0 precondition of the geodesic exponential
+SEPARATION_CLASS_TOL = 1e-9  # slack of -<p,q> against +-1 in lorentz_separation
 
 # boundary curves
 ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
+LIGHTLIKE_RUN_TOL = 1e-9     # cells with |dtau/dtheta| >= 1 - this are lightlike
+PLANAR_TOL = 1e-9            # singular-value ratio of a planar (Mobius) curve
 
 # convex hull / width
+RESAMPLE_SPACING_RATIO = 3.0  # convex_hull resamples above this max/min dtheta
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
 NULL_DEPTH_CUT = 1e-6        # width samples with 1+z3^2-z1^2-z2^2 below this hug the null boundary
@@ -34,3 +38,5 @@ MAX_NEWTON = 60              # Newton iterations per exhaustion stage
 FLOW_BUDGET = 4000           # flow steps in flow_run
 FLOW_DS_GROWTH = 1.3         # flow step growth after an accepted step
 FLOW_INFLATION = 1.5         # a flow step may raise sup|H| by at most this factor
+SLOPE_LIMIT_ROUNDS = 200     # neighbour-average rounds in slope_limit
+FLOW_FALLBACK_STEPS = 200    # flow steps before solve_maximal retries Newton

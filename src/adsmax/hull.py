@@ -24,6 +24,7 @@ from .constants import (
     BARY_INSIDE_SLACK,
     HULL_FACET_TOL,
     NULL_DEPTH_CUT,
+    RESAMPLE_SPACING_RATIO,
     VERTICAL_FACET_TOL,
 )
 from .mesh import DiskMesh, neighbor_average
@@ -78,15 +79,17 @@ def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
     """Hull of the projective images of the curve samples.
 
     Totally geodesic boundary data (Mobius curves) degenerates to a planar
-    hull, flagged rather than rejected.  Curves with strongly uneven
-    parameter spacing (images under boosts) are resampled uniformly first,
-    so the facet geometry stays comparable across isometric copies.
+    hull, flagged rather than rejected, and is tested as given: resampling
+    moves it off its plane.  Other curves with strongly uneven parameter
+    spacing (images under boosts) are resampled uniformly first, so the
+    facet geometry stays comparable across isometric copies.
     """
+    planar = curve.is_planar()
     dth = np.diff(np.concatenate([curve.theta, [curve.theta[0] + 2 * np.pi]]))
-    if dth.max() > 3.0 * dth.min():
+    if not planar and dth.max() > RESAMPLE_SPACING_RATIO * dth.min():
         curve = curve.resample(len(curve.theta))
     t0, z = _recentered_samples(curve)
-    if curve.is_planar(tol=1e-9):
+    if planar:
         return ConvexHull3(curve, t0, z, True, None, None, None)
     try:
         q = QHull(z)
@@ -427,65 +430,28 @@ def hull_heights(hull: ConvexHull3, mesh: DiskMesh):
     (original time frame).  Planar hulls return the plane height twice.
 
     The vertical (Killing) line over a disk point is the chart curve
-    (k sec t, tan t) with k the Klein coordinates, so a facet constraint
-    a.z + b <= 0 becomes, after multiplying by cos t > 0, the linear-trig
-    inequality (a12.k) + a3 sin t + b cos t <= 0.
+    (k sec t, tan t) with k the Klein coordinates, so a facet a.z + b <= 0
+    becomes c + R sin(t + phi) <= 0 with c = a12.k, R = hypot(a3, b) and
+    phi = atan2(b, a3).  Where s = -c/R < 1, the up-crossing root
+    asin(s) - phi bounds t from above and pi - asin(s) - phi from below.
     """
     h = L.poincare_to_hyperboloid(mesh.vertices)
     k = h[:, :2] / h[:, 2:3]  # Klein coordinates
-    if hull.planar:
-        # plane through the curve: z1 p1 + z2 p2 + z3 p3 + p4 = 0 (exact)
-        A = np.concatenate([hull.points,
-                            np.ones((len(hull.points), 1))], axis=1)
-        _, _, vt = np.linalg.svd(A, full_matrices=False)
-        p = vt[-1]
-        # (k.p12) + p3 sin t + p4 cos t = 0, root in (-pi/2, pi/2)
-        c1 = k @ p[:2]
-        R = np.hypot(p[2], p[3])
-        psi = np.arctan2(p[3], p[2])
-        s = np.clip(-c1 / R, -1.0, 1.0)
-        cand = np.stack([np.arcsin(s) - psi,
-                         np.pi - np.arcsin(s) - psi], axis=0)
-        cand = (cand + np.pi) % (2 * np.pi) - np.pi
-        good = np.abs(cand) < np.pi / 2
-        t = np.where(good[0], cand[0], cand[1])
-        t = t + hull.t_shift
-        return t, t.copy()
+    eq = hull.equations
+    if hull.planar:  # the plane through the curve, as two half-spaces
+        A = np.column_stack([hull.points, np.ones(len(hull.points))])
+        p = np.linalg.svd(A, full_matrices=False)[2][-1]
+        eq = np.stack([p, -p])
+    phi = np.arctan2(eq[:, 3], eq[:, 2])
+    s = -(k @ eq[:, :2].T) / np.hypot(eq[:, 2], eq[:, 3])  # (N,F)
+    asn = np.arcsin(np.clip(s, -1.0, 1.0))
 
-    a = hull.equations[:, :3]
-    b = hull.equations[:, 3]
-    c1 = k @ a[:, :2].T  # (N,F)
+    def bound(roots, edge):
+        roots = (roots + np.pi) % (2 * np.pi) - np.pi
+        return np.where((s < 1.0) & (np.abs(roots) < np.pi / 2), roots, edge)
 
-    def margin(t):
-        return (c1 + np.sin(t)[:, None] * a[:, 2]
-                + np.cos(t)[:, None] * b).max(axis=1)
-
-    # bracket an interior time per vertex by a coarse scan
-    grid = np.linspace(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, 65)
-    best = np.full(mesh.n_vertices, np.inf)
-    t_in = np.zeros(mesh.n_vertices)
-    for t in grid:
-        m = margin(np.full(mesh.n_vertices, t))
-        sel = m < best
-        best[sel] = m[sel]
-        t_in[sel] = t
-    # Klein projections of interior vertices always meet the hull; at the
-    # rim the vertical can miss it within facet tolerance, in which case
-    # the interval degenerates to the best-approach time
-    missed = best > 0
-
-    def bisect(side):
-        lo = t_in.copy()
-        hi = np.full(mesh.n_vertices, side * (np.pi / 2 - 1e-9))
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = margin(mid) <= 0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return lo
-
-    t_hi = np.where(missed, t_in, bisect(+1))
-    t_lo = np.where(missed, t_in, bisect(-1))
+    t_hi = bound(asn - phi, np.pi / 2).min(axis=1)
+    t_lo = bound(np.pi - asn - phi, -np.pi / 2).max(axis=1)
     return t_lo + hull.t_shift, t_hi + hull.t_shift
 
 
@@ -543,7 +509,7 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
     if hull.planar:
         # every point of a totally geodesic slab sees the past envelope at
         # exactly pi/2 (the dual-point apex), so the min does not depend on
-        # the sample; evaluate a few representative samples to confirm
+        # the sample; a few representative samples suffice
         t_lo, _ = hull_heights(hull, mesh)
         idx = np.linspace(0, mesh.n_vertices - 1, 8).astype(int)
         Y = L.cyl_to_quadric(mesh.vertices[idx], t_lo[idx])
@@ -583,9 +549,6 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
                 y0,
             ))
         return best
-
-    if hull.planar:
-        return float(min(inner_max(j) for j in range(len(Y))))
 
     # refine the running argmin until it is itself a refined value: the
     # refinement only raises entries, so this terminates at the true min

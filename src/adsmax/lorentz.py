@@ -31,6 +31,7 @@ from .constants import (
     EXACT_TOL,
     ORTHO_TOL,
     QUADRIC_RENORM_TOL,
+    SEPARATION_CLASS_TOL,
 )
 
 SIGNATURE = np.array([1.0, 1.0, -1.0, -1.0])
@@ -209,7 +210,7 @@ def separation_cos(x, y):
     return -inner(x, y)
 
 
-def lorentz_separation(p, q, tol=1e-9):
+def lorentz_separation(p, q):
     """Causal class and separation of two quadric points inside one period.
 
     Returns ("timelike", d in (0, pi)), ("lightlike", 0.0) or
@@ -219,13 +220,13 @@ def lorentz_separation(p, q, tol=1e-9):
     pv = p.v if isinstance(p, QuadricPoint) else np.asarray(p, dtype=float)
     qv = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
     c = float(separation_cos(pv, qv))
-    if c < -1.0 - tol:
+    if c < -1.0 - SEPARATION_CLASS_TOL:
         raise ValueError("separation exceeds one period (work inside U_p)")
-    if c >= 1.0 + tol:
+    if c >= 1.0 + SEPARATION_CLASS_TOL:
         return "spacelike", float(np.arccosh(c))
-    if c > 1.0 - tol:
+    if c > 1.0 - SEPARATION_CLASS_TOL:
         return "lightlike", 0.0
-    if c <= -1.0 + tol:
+    if c <= -1.0 + SEPARATION_CLASS_TOL:
         raise ValueError("antipodal pair: separation is a full half-period")
     return "timelike", float(np.arccos(c))
 

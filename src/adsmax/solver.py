@@ -13,9 +13,9 @@ margin and on non-inflation of the residual.
 
 Dirichlet data is the curve's radial trace tau(theta) on the boundary ring;
 this replaces the hull-restriction trace, which has the same asymptotic
-limit.  Initial data is the midsurface of the hull heights, smoothed and
-slope-limited back into the spacelike cone.  Exhaustion solves on growing
-disks with warm starts resampled in polar coordinates.
+limit.  Initial data is the midsurface of the exact hull heights, with no
+smoothing pass, slope-limited into the spacelike cone.  Exhaustion solves
+on growing disks with warm starts resampled in polar coordinates.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from . import surface as SF
 from .constants import (
     FLOW_BUDGET,
     FLOW_DS_GROWTH,
+    FLOW_FALLBACK_STEPS,
     FLOW_INFLATION,
     MAX_NEWTON,
     MEAN_CURV_TOL,
+    SLOPE_LIMIT_ROUNDS,
     SPACELIKE_MARGIN,
     STEP_UNDERFLOW,
     WIDTH_REJECT_GAP,
@@ -62,13 +64,13 @@ class SolveConfig:
             raise ValueError("stage radii must be strictly increasing")
 
 
-def slope_limit(mesh: MS.DiskMesh, u, max_rounds=200):
+def slope_limit(mesh: MS.DiskMesh, u):
     """Pull interior values toward neighborhood averages until every
     triangle has spacelike margin >= SPACELIKE_MARGIN; boundary values stay
     fixed."""
     u = np.asarray(u, dtype=float).copy()
     interior = mesh.interior_mask
-    for _ in range(max_rounds):
+    for _ in range(SLOPE_LIMIT_ROUNDS):
         margins = SF.triangle_margins(mesh, u)
         if margins.min() >= SPACELIKE_MARGIN:
             return u
@@ -98,8 +100,9 @@ def boundary_trace(curve: BD.BoundaryCurve, mesh: MS.DiskMesh):
 def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
                   chull: HU.ConvexHull3 | None = None) -> SF.SpacelikeGraph:
     """Hull-midsurface start: u0 = (lower + upper hull heights)/2 with the
-    radial boundary trace clamped into the hull interval, one smoothing
-    pass, then slope limiting.
+    radial boundary trace clamped into the hull interval, then slope
+    limiting.  No smoothing pass: a neighbour average of the exact
+    midsurface can lose more margin than slope limiting wins back.
 
     At a finite radius the raw radial trace can stick out of the hull by an
     amount that vanishes as the radius grows; clamping restores the
@@ -111,9 +114,6 @@ def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
     u0 = 0.5 * (t_lo + t_hi)
     bm = mesh.boundary_mask
     u0[bm] = np.clip(boundary_trace(curve, mesh), t_lo[bm], t_hi[bm])
-    interior = mesh.interior_mask
-    avg = MS.neighbor_average(mesh, u0)
-    u0[interior] = avg[interior]
     u0 = slope_limit(mesh, u0)
     return SF.SpacelikeGraph.certify(mesh, u0, floor=0.0)
 
@@ -355,7 +355,7 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
             state = FlowState(
                 surface=SF.SpacelikeGraph.certify(mesh, u, floor=0.0),
                 s=0.0, ds=1e-4, u0=u.copy())
-            for _ in range(200):
+            for _ in range(FLOW_FALLBACK_STEPS):
                 state = flow_step(state, cfg, chull)
                 if state.converged:
                     break

@@ -177,6 +177,31 @@ class TestEnvelopes:
         assert np.all(lo <= hi + 1e-12)
         assert np.all(hi <= up + 1e-8)
 
+    @pytest.mark.parametrize("f", [B.bump_family(0.3), B.step_family(0.5)],
+                             ids=["bump_0.3", "step_0.5"])
+    def test_heights_are_exact_hull_boundaries(self, f):
+        # thin hulls: a sampled search collapses these intervals to a point
+        h = HU.convex_hull(B.lift_graph(f, 256))
+        mesh = MM.make_mesh(2.2, 20, 64)
+        lo, hi = HU.hull_heights(h, mesh)
+        assert np.all(lo < hi)
+        for t in (lo, hi):
+            assert np.abs(HU.graph_margins(h, mesh, t)).max() < 1e-12
+        assert HU.graph_margins(h, mesh, 0.5 * (lo + hi)).min() > 0
+
+    def test_facet_missing_the_line_does_not_bind(self):
+        # slab |z3| <= 1/2 cut by z1 >= 1/10: over Klein points with
+        # k1 >= 1/10 the cut never meets the vertical line (k sec t, tan t)
+        eq = np.array([[0.0, 0, 1, -0.5], [0, 0, -1, -0.5], [-1, 0, 0, 0.1]])
+        c = B.lift_graph(B.step_family(0.5), 64)
+        h = HU.ConvexHull3(c, 0.0, np.zeros((4, 3)), False, eq, None, None)
+        lo, hi = HU.hull_heights(h, MESH)
+        h3 = L.poincare_to_hyperboloid(MESH.vertices)
+        far = h3[:, 0] / h3[:, 2] >= 0.1
+        assert far.sum() > 50
+        assert np.allclose(hi[far], np.arctan(0.5), atol=1e-14)
+        assert np.allclose(lo[far], -np.arctan(0.5), atol=1e-14)
+
     def test_planar_heights_match_plane(self):
         m = L.random_mobius(np.random.default_rng(1), 0.4)
         c = B.lift_graph(B.mobius_boundary(m), 256)

@@ -23,14 +23,8 @@ class TestSolveMaximal:
         assert np.all(S.u == 0.0)
         assert rep["final_sup_H"] < SMALL.tol_H
 
-    @pytest.mark.parametrize("draw", [
-        0,
-        # uneven sample spacing: convex_hull resamples the curve off its
-        # plane and the start surface cannot be slope-limited (ROADMAP item 1)
-        pytest.param(1, marks=pytest.mark.xfail(
-            raises=SV.SolveRejected, strict=True,
-            reason="resampled Mobius curve gives a sliver hull")),
-    ])
+    # draw 1 has uneven sample spacing; resampling would move it off its plane
+    @pytest.mark.parametrize("draw", [0, 1])
     def test_mobius_matches_plane(self, draw):
         m = L.random_mobius(np.random.default_rng(draw), 0.5)
         S, rep = SV.solve_maximal(B.lift_graph(B.mobius_boundary(m), 128),
@@ -44,6 +38,17 @@ class TestSolveMaximal:
             for b in (-1, 1))
         # cutting the data off at radius R moves the rim trace by O(e^{-2R})
         assert dev < np.exp(-2.0 * mesh.radius)
+
+    @pytest.mark.parametrize("amplitude", [0.05, 0.3])
+    def test_gentle_bump_keeps_its_data(self, amplitude):
+        # a collapsed hull interval clamps the rim onto the wrong height
+        c = B.lift_graph(B.bump_family(amplitude), 128)
+        S, rep = SV.solve_maximal(c, SMALL)
+        assert rep["converged"]
+        tol = np.exp(-2.0 * S.mesh.radius)
+        rim = S.u[S.mesh.boundary_mask] - SV.boundary_trace(c, S.mesh)
+        assert np.abs(rim).max() < tol
+        assert rep["hull_margin"] > -tol
 
 
 class TestFlow:
