@@ -21,9 +21,10 @@ PLANAR_TOL = 1e-9            # singular-value ratio of a planar (Mobius) curve
 RESAMPLE_SPACING_RATIO = 3.0  # convex_hull resamples above this max/min dtheta
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
-NULL_DEPTH_CUT = 1e-6        # width samples with 1+z3^2-z1^2-z2^2 below this hug the null boundary
-BARY_INSIDE_SLACK = 1e-7     # barycentric slack for duality feet counted inside a facet
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
+REGULARITY_LEVEL = 2         # barycentric grid level of the past-hull samples in regularity_margin
+REGULARITY_REFINE = 64       # regularity_margin refines at most this many argmin candidates
+REGULARITY_CHART_DEPTH = 0.05  # regularity_margin drops hull samples with 1+z3^2-z1^2-z2^2 below this
 
 # discrete surfaces
 SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
@@ -40,3 +41,4 @@ FLOW_DS_GROWTH = 1.3         # flow step growth after an accepted step
 FLOW_INFLATION = 1.5         # a flow step may raise sup|H| by at most this factor
 SLOPE_LIMIT_ROUNDS = 200     # neighbour-average rounds in slope_limit
 FLOW_FALLBACK_STEPS = 200    # flow steps before solve_maximal retries Newton
+AREA_ROUNDOFF = 1e-12        # relative area drop a Newton line search still accepts as round-off

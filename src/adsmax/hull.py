@@ -4,14 +4,14 @@ The curve is recentered in time (midrange of tau to 0) so its image stays
 away from the chart poles, then hulled with qhull in the affine chart where
 convexity agrees with the geodesic convexity of the quadric.  Facets split
 into past / future / vertical by the time component of the outward normal.
-The width is the supremum of timelike separation between past-boundary and
-future-boundary samples, evaluated back in the quadric model, where it is a
-chart-independent quantity.
+The width is the supremum of timelike separation between the past and the
+future boundary.  Facets are ideal triangles, so that sup lies on a pair of
+edges, whole spacelike geodesics between curve samples, where it has a closed
+form in the quadric model (see `width`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +21,10 @@ from scipy.spatial import QhullError
 from . import lorentz as L
 from .boundary import BoundaryCurve
 from .constants import (
-    BARY_INSIDE_SLACK,
     HULL_FACET_TOL,
-    NULL_DEPTH_CUT,
+    REGULARITY_CHART_DEPTH,
+    REGULARITY_LEVEL,
+    REGULARITY_REFINE,
     RESAMPLE_SPACING_RATIO,
     VERTICAL_FACET_TOL,
 )
@@ -102,16 +103,15 @@ def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
     return ConvexHull3(curve, t0, z, False, q.equations, q.simplices, labels)
 
 
-def hull_is_convex(hull: ConvexHull3, tol: float = HULL_FACET_TOL) -> bool:
+def hull_is_convex(hull: ConvexHull3) -> bool:
     if hull.planar:
         return True
     a = hull.equations[:, :3]
     b = hull.equations[:, 3]
-    return bool((hull.points @ a.T + b).max() <= tol)
+    return bool((hull.points @ a.T + b).max() <= HULL_FACET_TOL)
 
 
-def _facet_samples(hull: ConvexHull3, label: int, level: int,
-                   with_ids: bool = False):
+def _facet_samples(hull: ConvexHull3, label: int, level: int):
     """Barycentric grid samples on facets with the given label."""
     sel = np.where(hull.labels == label)[0]
     tris = hull.points[hull.simplices[sel]]
@@ -120,283 +120,96 @@ def _facet_samples(hull: ConvexHull3, label: int, level: int,
         for j in range(level + 1 - i):
             bary.append((i, j, level - i - j))
     bary = np.asarray(bary, dtype=float) / level
-    pts = np.einsum("bk,fkd->fbd", bary, tris).reshape(-1, 3)
-    if not with_ids:
-        return pts
-    fid = np.repeat(sel, len(bary))
-    bar = np.tile(bary, (len(sel), 1))
-    return pts, fid, bar
+    return np.einsum("bk,fkd->fbd", bary, tris).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
 class WidthReport:
     width: float                  # clamped at pi/2
-    width_raw: float              # unclamped sampled value
+    width_raw: float              # unclamped value
     argmax_past: np.ndarray       # quadric point on the past boundary
     argmax_future: np.ndarray     # quadric point on the future boundary
-    past_max_separation: np.ndarray  # per past sample, max over future
-    n_past: int
-    n_future: int
 
 
-def _refine_width_pair(hull: ConvexHull3, fp: int, ff: int, bp, bf):
-    """Maximize the ordered separation over a (past facet, future facet)
-    pair by pattern search in barycentric coordinates.  Scalar arithmetic:
-    this sits in a tight loop."""
-    tp = hull.points[hull.simplices[fp]]
-    tf = hull.points[hull.simplices[ff]]
-
-    def clamp(b):
-        b0, b1, b2 = max(b[0], 0.0), max(b[1], 0.0), max(b[2], 0.0)
-        s = b0 + b1 + b2
-        if s <= 0:
-            return (1 / 3, 1 / 3, 1 / 3)
-        return (b0 / s, b1 / s, b2 / s)
-
-    def corner(tri, w):
-        return (
-            w[0] * tri[0, 0] + w[1] * tri[1, 0] + w[2] * tri[2, 0],
-            w[0] * tri[0, 1] + w[1] * tri[1, 1] + w[2] * tri[2, 1],
-            w[0] * tri[0, 2] + w[1] * tri[1, 2] + w[2] * tri[2, 2],
-        )
-
-    def value(x):
-        zp = corner(tp, clamp(x[:3]))
-        zf = corner(tf, clamp(x[3:]))
-        if zf[2] <= zp[2]:
-            return 0.0
-        sp = 1 + zp[2] * zp[2] - zp[0] * zp[0] - zp[1] * zp[1]
-        sf = 1 + zf[2] * zf[2] - zf[0] * zf[0] - zf[1] * zf[1]
-        if sp < 1e-9 or sf < 1e-9:
-            return 0.0
-        c = -(zp[0] * zf[0] + zp[1] * zf[1] - 1.0 - zp[2] * zf[2])
-        c = c / math.sqrt(sp * sf)
-        if not -1.0 < c < 1.0:
-            return 0.0
-        return math.acos(c)
-
-    x = [bp[0], bp[1], bp[2], bf[0], bf[1], bf[2]]
-    best = value(x)
-    step = 0.25
-    for _ in range(12):
-        for _sweep in range(12):
-            moved = False
-            for i in range(6):
-                for s in (step, -step):
-                    cand = list(x)
-                    cand[i] += s
-                    v = value(cand)
-                    if v > best + 1e-10:
-                        best, x, moved = v, cand, True
-            if not moved:
-                break
-        step *= 0.5
-    return (
-        best,
-        np.asarray(corner(tp, clamp(x[:3]))),
-        np.asarray(corner(tf, clamp(x[3:]))),
-    )
+def _edges(hull: ConvexHull3, label: int):
+    """(2, E) sample indices of the edges of the facets with the given label,
+    each edge once."""
+    tri = hull.simplices[hull.labels == label]
+    e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+    return np.unique(np.sort(e, axis=1), axis=0).T
 
 
-def _dual_route_candidates(hull: ConvexHull3, top_k: int = 10):
-    """Width candidates from the facet-plane duality.
+def _edge_point(z, p, q, s):
+    """Chart point at parameter s of the hull edge between samples p and q:
+    the quadric geodesic through e^s P_p + e^-s P_q, P = (z1, z2, 1, z3)."""
+    th = np.tanh(s)[..., None]
+    return 0.5 * ((1 + th) * z[p] + (1 - th) * z[q])
 
-    For a (past, future) facet pair the common normal geodesic passes
-    through the two facet planes' dual points; its feet have closed forms
-    and are separated by delta(d1, d2).  The feet are a critical point of
-    the separation, not its maximum over the pair (sampled points on a
-    facet pair can exceed delta), so they only give candidates: the best
-    pair of feet landing inside both facets, and, clamped into the
-    simplexes, seeds for the constrained pattern search.  Returns
-    (candidate or None, [(value, fp, ff, bary_p, bary_f), ...]).
+
+def width(hull: ConvexHull3) -> WidthReport:
+    """Sup of timelike separation between past and future hull boundaries.
+
+    Facets are ideal triangles, and inside a pair of spacelike facets the
+    separation has only the common-normal saddle, so the sup over the pair
+    lies on an edge of each.  An edge is the whole geodesic
+    x(s) = (e^s p + e^-s q) / sqrt(2 G(p, q)) between two null samples, with
+    G(p, q) = -<p, q>.  For a past edge (p1, q1) and a future edge (p2, q2),
+    -<x(s), y(r)> is convex in (s, r) with minimum
+
+        (sqrt(A D) + sqrt(B C)) / sqrt(G(p1, q1) G(p2, q2)),
+
+    A = G(p1, p2), B = G(p1, q2), C = G(q1, p2), D = G(q1, q2), attained at
+    e^{2(s+r)} = D/A and e^{2(s-r)} = C/B.  The width is the arccos of the
+    least such value over the edge pairs whose minimisers are timelike and in
+    causal order (chart time is a time function).  A pair sharing a sample
+    has a vanishing coefficient and its separation tends to 0; it is skipped.
     """
-    eq = hull.equations
-    a, b = eq[:, :3], eq[:, 3]
-    d = np.stack([a[:, 0], a[:, 1], -b, -a[:, 2]], axis=-1)
-    dd = L.inner(d, d)
-    spacelike_plane = dd < -1e-10
-    dhat = np.zeros_like(d)
-    dhat[spacelike_plane] = d[spacelike_plane] / np.sqrt(
-        -dd[spacelike_plane]
-    )[:, None]
-
-    past = np.where((hull.labels == -1) & spacelike_plane)[0]
-    fut = np.where((hull.labels == 1) & spacelike_plane)[0]
-    if len(past) == 0 or len(fut) == 0:
-        return None, []
-    tri = hull.points[hull.simplices]  # (F,3,3)
-    T = np.concatenate([tri.transpose(0, 2, 1),
-                        np.ones((len(tri), 1, 3))], axis=1)  # (F,4,3)
-    Tinv = np.linalg.pinv(T)
-
-    def barycentric(f_idx, chart_pts):
-        rhs = np.concatenate([chart_pts, np.ones((len(chart_pts), 1))],
-                             axis=1)
-        return np.einsum("fij,fj->fi", Tinv[f_idx], rhs)
-
-    C = -(dhat[past] * L.SIGNATURE) @ dhat[fut].T  # (P,F)
-    usable = np.abs(C) < 1.0 - 1e-12
-    if not usable.any():
-        return None, []
-    ip, jf = np.where(usable)
-    c = np.abs(C[ip, jf])
-    delta = np.arccos(c)
-    d1 = dhat[past[ip]]
-    d2 = dhat[fut[jf]] * np.sign(C[ip, jf])[:, None]
-    sd = np.sin(delta)[:, None]
-    v1 = (d2 - np.cos(delta)[:, None] * d1) / sd   # feet up to sign
-    v2 = (d1 - np.cos(delta)[:, None] * d2) / sd
-    # the chart image v[:, [0,1,3]] / v[:, 2] does not see the sign of v
-    good = (np.abs(v1[:, 2]) > 1e-12) & (np.abs(v2[:, 2]) > 1e-12)
-    ip, jf = ip[good], jf[good]
-    delta, v1, v2 = delta[good], v1[good], v2[good]
-    if len(ip) == 0:
-        return None, []
-    z1 = v1[:, [0, 1, 3]] / v1[:, 2:3]
-    z2 = v2[:, [0, 1, 3]] / v2[:, 2:3]
-    ordered = z2[:, 2] > z1[:, 2]
-    bar1 = barycentric(past[ip], z1)
-    bar2 = barycentric(fut[jf], z2)
-    inside = ((bar1 > -BARY_INSIDE_SLACK).all(axis=1)
-              & (bar2 > -BARY_INSIDE_SLACK).all(axis=1) & ordered)
-
-    feet = None
-    if inside.any():
-        k = np.where(inside)[0][np.argmax(delta[inside])]
-        feet = (float(delta[k]),
-                L.projective_to_quadric(z1[k]),
-                L.projective_to_quadric(z2[k]))
-
-    # clamped-feet seeds: evaluate the separation at the simplex-projected
-    # feet for every pair, keep the strongest
-    def clamp_bar(bar):
-        bb = np.clip(bar, 0.0, None)
-        s = bb.sum(axis=1, keepdims=True)
-        return np.where(s > 0, bb / s, 1 / 3)
-
-    cb1 = clamp_bar(bar1)
-    cb2 = clamp_bar(bar2)
-    zc1 = np.einsum("ek,ekd->ed", cb1, tri[past[ip]])
-    zc2 = np.einsum("ek,ekd->ed", cb2, tri[fut[jf]])
-    s1 = 1 + zc1[:, 2] ** 2 - zc1[:, 0] ** 2 - zc1[:, 1] ** 2
-    s2 = 1 + zc2[:, 2] ** 2 - zc2[:, 0] ** 2 - zc2[:, 1] ** 2
-    val = np.zeros(len(ip))
-    okc = (s1 > 1e-9) & (s2 > 1e-9) & (zc2[:, 2] > zc1[:, 2])
-    iq = (zc1[:, 0] * zc2[:, 0] + zc1[:, 1] * zc2[:, 1]
-          - 1.0 - zc1[:, 2] * zc2[:, 2])
-    cc = np.where(okc, -iq / np.sqrt(np.maximum(s1 * s2, 1e-300)), 2.0)
-    tl = okc & (np.abs(cc) < 1.0)
-    val[tl] = np.arccos(cc[tl])
-    pos = np.flatnonzero(val > 0)  # a few dozen of ~10^5 pairs
-    # descending; a stable sort keeps tied values in pair order
-    order = pos[np.argsort(-val[pos], kind="stable")[:top_k]]
-    seeds = [
-        (float(val[k]), int(past[ip[k]]), int(fut[jf[k]]), cb1[k], cb2[k])
-        for k in order
-    ]
-    return feet, seeds
-
-
-# past rows per block of the causal sweep in `width`: a 64 x N block is a few
-# MB, where the whole past x future block is hundreds
-_SWEEP_BLOCK = 64
-
-
-def _causal_min(Xs, Y, tX, tY):
-    """Per past row i, the min of -(Xs[i] . Y[j]) over the future samples j
-    with tY[j] > tX[i], and its first argmin; (inf, 0) where no j is later.
-    Works through _SWEEP_BLOCK rows at a time in two reused buffers."""
-    n = len(Xs)
-    best = np.empty(n)
-    arg = np.empty(n, dtype=np.int64)
-    buf = np.empty((_SWEEP_BLOCK, len(Y)))
-    mask = np.empty((_SWEEP_BLOCK, len(Y)), dtype=bool)
-    for lo in range(0, n, _SWEEP_BLOCK):
-        hi = min(lo + _SWEEP_BLOCK, n)
-        c, later = buf[:hi - lo], mask[:hi - lo]
-        np.matmul(Xs[lo:hi], Y.T, out=c)
-        np.negative(c, out=c)
-        np.less_equal(tY, tX[lo:hi, None], out=later)
-        np.copyto(c, np.inf, where=later)
-        arg[lo:hi] = c.argmin(axis=1)
-        best[lo:hi] = c[np.arange(hi - lo), arg[lo:hi]]
-    return best, arg
-
-
-def width(hull: ConvexHull3, level: int = 4) -> WidthReport:
-    """Sup of timelike separation between past and future hull boundaries."""
+    zero = np.zeros(4)
+    empty = WidthReport(0.0, 0.0, zero, zero)
     if hull.planar:
-        zero = np.zeros(4)
-        return WidthReport(0.0, 0.0, zero, zero, np.zeros(0), 0, 0)
-    zp, fp_id, bp = _facet_samples(hull, -1, level, with_ids=True)
-    zf, ff_id, bf = _facet_samples(hull, 1, level, with_ids=True)
-    # drop samples hugging the null boundary: their normalization blows up
-    # and inner products lose all precision (the sup is interior anyway)
-    def depth(z):
-        return 1.0 + z[:, 2] ** 2 - z[:, 0] ** 2 - z[:, 1] ** 2
+        return empty
+    z = hull.points
+    P = np.column_stack([z[:, 0], z[:, 1], np.ones(len(z)), z[:, 2]])
+    Q = -P * L.SIGNATURE
+    (p1, q1), (p2, q2) = _edges(hull, -1), _edges(hull, 1)
+    # G of an edge between lightlike-related samples (two_step) is 0 up to
+    # round-off and can come out negative: such edges are not spacelike
+    g1 = (Q[p1] * P[q1]).sum(axis=1)
+    g2 = (Q[p2] * P[q2]).sum(axis=1)
+    p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
+    p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
+    A, B = Q[p1] @ P[p2].T, Q[p1] @ P[q2].T
+    C, D = Q[q1] @ P[p2].T, Q[q1] @ P[q2].T
+    keep = (A > 0) & (B > 0) & (C > 0) & (D > 0)
+    for X in (A, B, C, D):  # >= 0 on achronal data, up to round-off
+        np.maximum(X, 0.0, out=X)
+    cos = (np.sqrt(A * D) + np.sqrt(B * C)) / np.sqrt(np.outer(g1, g2))
+    i, j = np.nonzero(keep & (cos < 1.0))
+    cos = cos[i, j]
+    lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B, C, D))
+    s = 0.25 * (lC + lD - lA - lB)
+    r = 0.25 * (lB + lD - lA - lC)
+    t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
+    t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
+    ok = np.flatnonzero(t_future > t_past)
+    if len(ok) == 0:
+        return empty
+    k = ok[np.argmin(cos[ok])]
+    raw = float(np.arccos(cos[k]))
 
-    keep_p = depth(zp) > NULL_DEPTH_CUT
-    keep_f = depth(zf) > NULL_DEPTH_CUT
-    zp, fp_id, bp = zp[keep_p], fp_id[keep_p], bp[keep_p]
-    zf, ff_id, bf = zf[keep_f], ff_id[keep_f], bf[keep_f]
-    if len(zp) == 0 or len(zf) == 0:
-        zero = np.zeros(4)
-        return WidthReport(0.0, 0.0, zero, zero, np.zeros(0), 0, 0)
-    X = L.projective_to_quadric(zp)
-    Y = L.projective_to_quadric(zf)
-    # causal order: pair x with y only when y is in the future of x (chart
-    # time is a time function, so t_y > t_x decides it for timelike pairs)
-    tX = np.arctan(zp[:, 2])
-    tY = np.arctan(zf[:, 2])
-    best, arg = _causal_min(X * L.SIGNATURE, Y, tX, tY)
-    seps = np.where(best < 1.0, np.arccos(np.clip(best, -1.0, 1.0)), 0.0)
-    # local pattern refinement over the leading facet pairs removes the
-    # dependence on the barycentric sampling density
-    top = np.argsort(seps)[::-1]
-    raw = float(seps[top[0]])
-    i = int(top[0])
-    zbest_p = zp[i]
-    zbest_f = zf[int(arg[i])]
-    seen = set()
-    for i in top[:400]:
-        if len(seen) >= 16:
-            break
-        pair = (int(fp_id[i]), int(ff_id[int(arg[i])]))
-        if pair in seen or seps[i] == 0.0:
-            continue
-        seen.add(pair)
-        val, zc_p, zc_f = _refine_width_pair(
-            hull, pair[0], pair[1], bp[i], bf[int(arg[i])]
-        )
-        if val > raw:
-            raw, zbest_p, zbest_f = val, zc_p, zc_f
-    # duality route: the common-normal feet inside both facets as one more
-    # candidate, and clamped-feet seeds for the pattern search
-    feet, seeds = _dual_route_candidates(hull)
-    for val0, fp, ff, cb1, cb2 in seeds:
-        if (fp, ff) in seen:
-            continue
-        seen.add((fp, ff))
-        val, zc_p, zc_f = _refine_width_pair(hull, fp, ff, cb1, cb2)
-        if val > raw:
-            raw, zbest_p, zbest_f = val, zc_p, zc_f
-    qp = L.projective_to_quadric(zbest_p)
-    qf = L.projective_to_quadric(zbest_f)
-    if feet is not None and feet[0] > raw:
-        raw = feet[0]
-        qp, qf = feet[1], feet[2]
+    def point(p, q, s):  # back from the recentered frame
+        x = L.projective_to_quadric(_edge_point(z, p, q, s))
+        return L.apply_isometry(L.time_translation(hull.t_shift), x)
+
     return WidthReport(
         width=min(raw, np.pi / 2),
         width_raw=raw,
-        argmax_past=qp,
-        argmax_future=qf,
-        past_max_separation=seps,
-        n_past=len(X),
-        n_future=len(Y),
+        argmax_past=point(p1[i[k]], q1[i[k]], s[k]),
+        argmax_future=point(p2[j[k]], q2[j[k]], r[k]),
     )
 
 
-def contains(hull: ConvexHull3, point, tol: float = 0.0):
+def contains(hull: ConvexHull3, point):
     """(inside, margin) for a quadric/CylPoint/array point; the margin is the
     minimal signed facet distance in chart coordinates."""
     if isinstance(point, L.CylPoint):
@@ -412,7 +225,7 @@ def contains(hull: ConvexHull3, point, tol: float = 0.0):
         raise ValueError("point outside the projective chart (|t| >= pi/2)")
     z = L.quadric_to_projective(q)
     m = hull.facet_margins(z)
-    inside = m >= -abs(tol)
+    inside = m >= 0
     if m.shape == (1,):
         return bool(inside[0]), float(m[0])
     return inside, m
@@ -489,8 +302,7 @@ def _envelope_separation(curve: BoundaryCurve, y_disk, q_hull, t_hull):
 
 
 def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
-                      mesh: DiskMesh, level: int = 2,
-                      refine: int = 64, chart_depth: float = 0.05) -> float:
+                      mesh: DiskMesh) -> float:
     """eps = min over past-hull samples y of max over past-envelope points
     x in I^-(y) of delta(x, y); positive exactly when the hull stays away
     from the past envelope (width < pi/2 regime).
@@ -499,9 +311,9 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
     extremizers sit on cone ridges, e.g. the dual-point apex for totally
     geodesic data), so the smallest outer candidates are refined by a local
     pattern search over the disk with the closed-form envelope.  Hull
-    samples hugging the asymptotic boundary (chart depth below chart_depth)
-    are excluded: every quantity degenerates together there and the sampled
-    statistic would collapse to zero for any curve.
+    samples hugging the asymptotic boundary (chart depth below
+    REGULARITY_CHART_DEPTH) are excluded: every quantity degenerates together
+    there and the sampled statistic would collapse to zero for any curve.
     """
     u_minus, _ = dod_envelopes(curve, mesh)
     Xenv = L.cyl_to_quadric(mesh.vertices, u_minus)
@@ -515,9 +327,9 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
         Y = L.cyl_to_quadric(mesh.vertices[idx], t_lo[idx])
         t_hull = t_lo[idx]
     else:
-        zp = _facet_samples(hull, -1, level)
+        zp = _facet_samples(hull, -1, REGULARITY_LEVEL)
         zp = zp[1.0 + zp[:, 2] ** 2 - zp[:, 0] ** 2 - zp[:, 1] ** 2
-                > chart_depth]
+                > REGULARITY_CHART_DEPTH]
         if len(zp) == 0:
             return 0.0
         Y = L.projective_to_quadric(zp)
@@ -554,7 +366,7 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
     # refinement only raises entries, so this terminates at the true min
     refined = per_hull.copy()
     done = np.zeros(len(per_hull), dtype=bool)
-    for _ in range(max(refine, 1)):
+    for _ in range(REGULARITY_REFINE):
         j = int(np.argmin(refined))
         if done[j]:
             break

@@ -32,6 +32,7 @@ from . import lorentz as L
 from . import mesh as MS
 from . import surface as SF
 from .constants import (
+    AREA_ROUNDOFF,
     FLOW_BUDGET,
     FLOW_DS_GROWTH,
     FLOW_FALLBACK_STEPS,
@@ -283,7 +284,8 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
         for _ in range(40):
             u_try = u + alpha * delta
             if SF.triangle_margins(mesh, u_try).min() > 0:
-                if SF.graph_area(mesh, u_try) > area0 - 1e-15:
+                if (SF.graph_area(mesh, u_try)
+                        >= area0 - AREA_ROUNDOFF * abs(area0)):
                     accepted = True
                     break
             alpha *= 0.5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,31 +85,73 @@ class TestWidth:
         assert kind == "timelike"
         assert val == pytest.approx(w.width_raw, abs=1e-9)
 
+    def test_argmax_pair_lies_on_the_hull(self):
+        # an isometry image is recentered in time before hulling
+        g = L.random_isometry(np.random.default_rng(0), 0.3)
+        h = HU.convex_hull(step_curve(0.5, 256).transform(g))
+        assert abs(h.t_shift) > 0.05
+        w = HU.width(h)
+        for q in (w.argmax_past, w.argmax_future):
+            assert abs(HU.contains(h, q)[1]) < 1e-12
+
     def test_every_route_is_needed(self):
-        # the dense sweep sets the first value (the duality route alone gives
-        # 0.3671095), the duality route the second (the dense sweep and its
-        # refinement alone give 0.1038711)
+        # lower bounds from the sampled routes the closed-form edge pass
+        # replaced: the dense sweep set the first value and the duality route
+        # the second; those values were attained, so no exact width is lower
         w = HU.width(HU.convex_hull(step_curve(0.5)))
         assert w.width_raw >= 0.367121806734 - 1e-12
         w = HU.width(HU.convex_hull(B.lift_graph(B.bump_family(0.6), 512)))
         assert w.width_raw >= 0.105823187130 - 1e-12
 
-    def test_blocked_sweep_matches_one_shot(self):
-        rng = np.random.default_rng(3)
-        n, m = 2 * HU._SWEEP_BLOCK + 23, 40
-        Xs, Y = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
-        tX, tY = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
-        tX[5] = tY.max()  # no later future sample
-        c0 = np.where(tY > tX[0], -(Xs[0] @ Y.T), np.inf)
-        j = int(c0.argmin())
-        Y, tY = np.vstack([Y, Y[j]]), np.append(tY, tY[j])  # a tie in row 0
+    def test_bump_reaches_its_edge_pair(self):
+        # the sampled routes stopped at the common-normal saddle, 0.1058232
+        w = HU.width(HU.convex_hull(B.lift_graph(B.bump_family(0.6), 512)))
+        assert w.width_raw >= 0.10583600
 
-        best, arg = HU._causal_min(Xs, Y, tX, tY)
-        c = np.where(tY[None, :] > tX[:, None], -(Xs @ Y.T), np.inf)
-        assert np.array_equal(best, c.min(axis=1))
-        assert np.array_equal(arg, c.argmin(axis=1))
-        assert arg[0] == j
-        assert best[5] == np.inf and arg[5] == 0
+    @pytest.mark.parametrize("kappa,value", [
+        (0.1, 0.0012344633743755914),
+        (0.3, 0.054317206184626786),
+        (0.5, 0.3671218067342039),
+        (0.7, 0.8311468374501078),
+        (0.9, 1.3073039407159233),
+    ])
+    def test_step_widths_are_pinned(self, kappa, value):
+        w = HU.width(HU.convex_hull(step_curve(kappa)))
+        assert w.width_raw == pytest.approx(value, abs=1e-12)
+
+    def test_swapped_boundaries_have_no_ordered_pair(self):
+        # every timelike edge pair then runs from future to past
+        h = HU.convex_hull(step_curve(0.5, 128))
+        assert HU.width(h).width_raw > 0.3
+        swapped = dataclasses.replace(h, labels=-h.labels)
+        assert HU.width(swapped).width_raw == 0.0
+
+    @pytest.mark.parametrize("f", [B.bump_family(0.6), B.step_family(0.6)],
+                             ids=["bump_0.6", "step_0.6"])
+    def test_dense_facet_grid_never_beats_edge_pass(self, f):
+        # every past x future facet pair on a barycentric grid of level 20,
+        # in causal order; samples hugging the null boundary lose precision
+        h = HU.convex_hull(B.lift_graph(f, 48))
+        w = HU.width(h).width_raw
+
+        def grid(label):
+            z = HU._facet_samples(h, label, 20)
+            z = z.reshape((h.labels == label).sum(), -1, 3)
+            depth = 1 + z[..., 2] ** 2 - z[..., 0] ** 2 - z[..., 1] ** 2
+            return z, depth > 1e-6
+
+        zp, deep_p = grid(-1)
+        zf, deep_f = grid(1)
+        zf = zf[deep_f]
+        Y = L.projective_to_quadric(zf)
+        best = 0.0
+        for z, deep in zip(zp, deep_p):  # one past facet at a time
+            z = z[deep]
+            c = -(L.projective_to_quadric(z) * L.SIGNATURE) @ Y.T
+            c[zf[:, 2] <= z[:, 2:3]] = 1.0
+            best = max(best, float(np.arccos(min(c.min(), 1.0))))
+        assert best <= w + 1e-12
+        assert best >= w - 1e-3
 
 
 class TestContains:

@@ -50,6 +50,14 @@ class TestSolveMaximal:
         assert np.abs(rim).max() < tol
         assert rep["hull_margin"] > -tol
 
+    def test_newton_accepts_a_round_off_area_drop(self):
+        # Newton reaches sup_H 1.8e-6 here; the full step then lowers the
+        # area by one ulp, and an absolute slack rejected every halving
+        cfg = SV.SolveConfig(stages=((3.0, 26, 84),))
+        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.8), 512), cfg)
+        assert rep["converged"]
+        assert "used_flow_fallback" not in rep["stages"][0]
+
 
 class TestFlow:
     def test_step_flow_converges_within_appendix_bounds(self):
