@@ -31,6 +31,9 @@ SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
 MARGIN_FLOOR = 1e-7          # graphs below this margin are rejected outright
 BOUNDARY_MASK_RINGS = 2      # curvature diagnostics masked this close to the rim
 CHI_MASK_TOL = 1e-8          # |det B| below this -> chi is masked (flat spot)
+CHI_SMOOTH_WIDTH = 0.25      # target width of the heat mollifier in chi_residual
+CHI_HEAT_ROUNDS = 4000       # cap on the explicit heat rounds of chi_residual
+CHI_VALID_FRAC = 0.98        # chi_residual keeps vertices whose diffused indicator exceeds this
 
 # solvers
 MEAN_CURV_TOL = 1e-6         # terminal max-norm of H ("tol_H")

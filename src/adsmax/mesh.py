@@ -64,11 +64,21 @@ class DiskMesh:
     def edges(self) -> np.ndarray:
         """Directed edge list (i, k): every triangle edge both ways, sorted."""
         t = self.triangles
-        e = np.concatenate(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]],
-             t[:, [1, 0]], t[:, [2, 1]], t[:, [0, 2]]]
-        )
-        return _read_only(np.unique(e, axis=0))
+        n = self.n_vertices
+        i = t[:, [0, 1, 2, 1, 2, 0]].T.ravel().astype(np.int64)
+        k = t[:, [1, 2, 0, 0, 1, 2]].T.ravel().astype(np.int64)
+        # one 1-D sort of i*n + k orders the pairs as a row-wise unique does
+        code = np.unique(i * n + k)
+        return _read_only(
+            np.stack([code // n, code % n], axis=-1).astype(t.dtype))
+
+    @cached_property
+    def neighbor_count(self) -> np.ndarray:
+        """Number of mesh neighbours of each vertex (at least two: every
+        vertex lies on a triangle), as floats."""
+        e = self.edges
+        return _read_only(
+            np.bincount(e[:, 0], minlength=self.n_vertices).astype(float))
 
     @cached_property
     def two_ring_pairs(self) -> np.ndarray:
@@ -176,38 +186,31 @@ def make_mesh(
     dtheta = 2 * np.pi / n_angular
     j = np.arange(n_angular)
 
-    verts = [np.zeros((1, 2))]
-    rho_all = [np.zeros(1)]
-    theta_all = [np.zeros(1)]
-    ring_all = [np.zeros(1, dtype=np.int32)]
-    for i, rho in enumerate(rhos, start=1):
-        ang = (j + 0.5 * (i % 2)) * dtheta
-        e = np.tanh(rho / 2.0)
-        verts.append(np.stack([e * np.cos(ang), e * np.sin(ang)], axis=-1))
-        rho_all.append(np.full(n_angular, rho))
-        theta_all.append(ang)
-        ring_all.append(np.full(n_angular, i, dtype=np.int32))
-    vertices = np.concatenate(verts)
-    rho_v = np.concatenate(rho_all)
-    theta_v = np.concatenate(theta_all)
-    ring_v = np.concatenate(ring_all)
+    ring = np.repeat(np.arange(1, n_rings + 1), n_angular)
+    ang = (np.tile(j, n_rings) + 0.5 * (ring % 2)) * dtheta
+    e = np.repeat(np.tanh(rhos / 2.0), n_angular)
+    ring_pts = np.stack([e * np.cos(ang), e * np.sin(ang)], axis=-1)
+    vertices = np.concatenate([np.zeros((1, 2)), ring_pts])
+    rho_v = np.concatenate([[0.0], np.repeat(rhos, n_angular)])
+    theta_v = np.concatenate([[0.0], ang])
+    ring_v = np.concatenate([[0], ring]).astype(np.int32)
 
     def vid(i, jj):
         return 1 + (i - 1) * n_angular + (jj % n_angular)
 
-    tris = []
-    for jj in range(n_angular):
-        tris.append([0, vid(1, jj), vid(1, jj + 1)])
-    for i in range(1, n_rings):
-        up = i % 2 == 1  # ring i+1 is offset +1/2 relative to ring i
-        for jj in range(n_angular):
-            if up:
-                tris.append([vid(i, jj), vid(i, jj + 1), vid(i + 1, jj)])
-                tris.append([vid(i, jj + 1), vid(i + 1, jj + 1), vid(i + 1, jj)])
-            else:
-                tris.append([vid(i, jj), vid(i, jj + 1), vid(i + 1, jj + 1)])
-                tris.append([vid(i, jj), vid(i + 1, jj + 1), vid(i + 1, jj)])
-    triangles = np.asarray(tris, dtype=np.int32)
+    fan = np.stack([np.zeros_like(j), vid(1, j), vid(1, j + 1)], axis=-1)
+    # the strip between rings i and i+1 has two cells per angular step,
+    # ordered by (i, jj, cell)
+    i = np.arange(1, n_rings)[:, None]
+    a0, a1 = vid(i, j), vid(i, j + 1)
+    b0, b1 = vid(i + 1, j), vid(i + 1, j + 1)
+    up = (i % 2 == 1)[..., None]  # ring i+1 is offset +1/2 relative to ring i
+    first = np.where(up, np.stack([a0, a1, b0], axis=-1),
+                     np.stack([a0, a1, b1], axis=-1))
+    second = np.where(up, np.stack([a1, b1, b0], axis=-1),
+                      np.stack([a0, b1, b0], axis=-1))
+    strips = np.stack([first, second], axis=2).reshape(-1, 3)
+    triangles = np.concatenate([fan, strips]).astype(np.int32)
 
     # enforce CCW orientation
     p = vertices[triangles]
@@ -264,11 +267,8 @@ def vertex_neighbors(mesh: DiskMesh):
 def neighbor_average(mesh: DiskMesh, u):
     """Per vertex, the mean of u over its mesh neighbours."""
     e = vertex_neighbors(mesh)
-    acc = np.zeros(mesh.n_vertices)
-    cnt = np.zeros(mesh.n_vertices)
-    np.add.at(acc, e[:, 0], u[e[:, 1]])
-    np.add.at(cnt, e[:, 0], 1.0)
-    return acc / np.maximum(cnt, 1.0)
+    acc = np.bincount(e[:, 0], weights=u[e[:, 1]], minlength=mesh.n_vertices)
+    return acc / mesh.neighbor_count
 
 
 def interpolate_polar(mesh: DiskMesh, values, rho_t, theta_t):

@@ -120,9 +120,13 @@ def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
 
 
 def _interior_solve(K, rhs, interior):
+    """Solve the interior rows of K x = rhs with x = 0 on the rim.  K is
+    symmetric, so the fill-reducing order is taken on its pattern A^T + A
+    rather than COLAMD's A^T A, which roughly halves the LU fill."""
     Kii = K[interior][:, interior].tocsc()
     out = np.zeros(len(rhs))
-    out[interior] = spla.splu(Kii).solve(rhs[interior])
+    out[interior] = spla.splu(Kii, permc_spec="MMD_AT_PLUS_A").solve(
+        rhs[interior])
     return out
 
 
@@ -322,7 +326,10 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
     closure) is rejected with the width diagnostic.  Stages warm-start from
     each other; the report records the Cauchy differences of consecutive
     stages on the common interior, per-stage Newton histories, and hull
-    containment.
+    containment.  A stage whose Newton run stalls goes through the flow
+    and a second Newton run; its report is the second run's, with
+    `used_flow_fallback` set and the first run's iterations and history
+    under `stalled`.
     """
     cfg = cfg or SolveConfig()
     chull = HU.convex_hull(curve)
@@ -353,6 +360,8 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
             raise SolveRejected(str(exc), width_report=wrep) from exc
         u, info = newton_solve(mesh, u0, cfg, chull)
         if not info["converged"]:
+            stalled = {"iterations": info["iterations"],
+                       "history": info["history"]}
             # parabolic fallback from the current iterate, then retry
             state = FlowState(
                 surface=SF.SpacelikeGraph.certify(mesh, u, floor=0.0),
@@ -363,6 +372,7 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
                     break
             u, info = newton_solve(mesh, state.surface.u, cfg, chull)
             info["used_flow_fallback"] = True
+            info["stalled"] = stalled
         report["stages"].append({
             "radius": radius, "n_vertices": mesh.n_vertices, **info,
         })

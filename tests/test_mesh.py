@@ -8,7 +8,54 @@ from adsmax import mesh as MM
 from adsmax import surface as SF
 
 
+def loop_mesh(radius, n_rings, n_angular):
+    """make_mesh's vertices and triangles, built ring by ring and cell by
+    cell."""
+    rhos = MM.ring_radii(radius, n_rings, n_angular)
+    dtheta = 2 * np.pi / n_angular
+    j = np.arange(n_angular)
+    verts = [np.zeros((1, 2))]
+    for i, rho in enumerate(rhos, start=1):
+        ang = (j + 0.5 * (i % 2)) * dtheta
+        e = np.tanh(rho / 2.0)
+        verts.append(np.stack([e * np.cos(ang), e * np.sin(ang)], axis=-1))
+    vertices = np.concatenate(verts)
+
+    def vid(i, jj):
+        return 1 + (i - 1) * n_angular + (jj % n_angular)
+
+    tris = []
+    for jj in range(n_angular):
+        tris.append([0, vid(1, jj), vid(1, jj + 1)])
+    for i in range(1, n_rings):
+        up = i % 2 == 1
+        for jj in range(n_angular):
+            if up:
+                tris.append([vid(i, jj), vid(i, jj + 1), vid(i + 1, jj)])
+                tris.append([vid(i, jj + 1), vid(i + 1, jj + 1),
+                             vid(i + 1, jj)])
+            else:
+                tris.append([vid(i, jj), vid(i, jj + 1), vid(i + 1, jj + 1)])
+                tris.append([vid(i, jj), vid(i + 1, jj + 1), vid(i + 1, jj)])
+    triangles = np.asarray(tris, dtype=np.int32)
+    p = vertices[triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    return vertices, triangles
+
+
 class TestMakeMesh:
+    @pytest.mark.parametrize("n_rings", [7, 8])
+    @pytest.mark.parametrize("n_angular", [6, 40])
+    def test_matches_loop_builder(self, n_rings, n_angular):
+        m = MM.make_mesh(1.8, n_rings, n_angular)
+        vertices, triangles = loop_mesh(1.8, n_rings, n_angular)
+        assert m.triangles.dtype == triangles.dtype
+        assert np.array_equal(m.triangles, triangles)
+        assert np.array_equal(m.vertices, vertices)
+
     def test_vertex_count(self):
         m = MM.make_mesh(2.0, 16, 48)
         assert m.n_vertices == 769  # center + 16*48
@@ -103,5 +150,19 @@ class TestMeshCache:
         both_ways = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]],
                                     t[:, [1, 0]], t[:, [2, 1]], t[:, [0, 2]]])
         ref = np.unique(both_ways, axis=0)
+        assert MM.vertex_neighbors(m).dtype == ref.dtype
         assert np.array_equal(MM.vertex_neighbors(m), ref)
         assert MM.vertex_neighbors(m) is MM.vertex_neighbors(m)
+
+    def test_neighbor_average_matches_add_at(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        u = np.random.default_rng(3).normal(size=m.n_vertices)
+        e = m.edges
+        acc = np.zeros(m.n_vertices)
+        cnt = np.zeros(m.n_vertices)
+        np.add.at(acc, e[:, 0], u[e[:, 1]])
+        np.add.at(cnt, e[:, 0], 1.0)
+        assert np.array_equal(MM.neighbor_average(m, u), acc / cnt)
+        assert np.array_equal(m.neighbor_count, cnt)
+        with pytest.raises(ValueError):
+            m.neighbor_count[0] = 0

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from adsmax import boundary as B
 from adsmax import lorentz as L
 from adsmax import mesh as MM
 from adsmax import solver as SV
+from adsmax import surface as SF
 
 SMALL = SV.SolveConfig(stages=((1.4, 8, 24), (2.0, 10, 32)))
 
@@ -57,6 +59,35 @@ class TestSolveMaximal:
         S, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.8), 512), cfg)
         assert rep["converged"]
         assert "used_flow_fallback" not in rep["stages"][0]
+
+    def test_report_keeps_the_stalled_newton_run(self, monkeypatch):
+        # one Newton iteration cannot reach tol_H from the start, so the
+        # stage goes through the flow fallback and a second Newton run
+        monkeypatch.setattr(SV, "MAX_NEWTON", 1)
+        cfg = SV.SolveConfig(stages=((1.4, 8, 24),))
+        _, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.3), 128), cfg)
+        stage = rep["stages"][0]
+        assert stage["used_flow_fallback"]
+        stalled = stage["stalled"]
+        assert stalled["iterations"] == 1
+        assert len(stalled["history"]) == 1
+        assert stalled["history"][0]["sup_H"] >= cfg.tol_H
+        assert stage["converged"]
+
+
+class TestInteriorSolve:
+    def test_matches_default_splu(self):
+        m = MM.make_mesh(3.0, 48, 160)
+        assert m.n_vertices == 7681
+        u = SF.umbilic_surface(m, 0.7).u
+        K = SF.tangent_stiffness(m, u)
+        F, _ = SF.residual(m, u)
+        inner = m.interior_mask
+        ref = spla.splu(K[inner][:, inner].tocsc()).solve(-F[inner])
+        got = SV._interior_solve(K, -F, inner)
+        assert np.all(got[~inner] == 0.0)
+        assert (np.abs(got[inner] - ref).max()
+                <= 1e-10 * np.abs(ref).max())
 
 
 class TestFlow:

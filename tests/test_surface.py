@@ -4,6 +4,13 @@ import pytest
 from adsmax import lorentz as L
 from adsmax import mesh as MM
 from adsmax import surface as SF
+from adsmax.constants import (
+    BOUNDARY_MASK_RINGS,
+    CHI_HEAT_ROUNDS,
+    CHI_MASK_TOL,
+    CHI_SMOOTH_WIDTH,
+    CHI_VALID_FRAC,
+)
 
 RNG = np.random.default_rng(42)
 TILT = L.apply_isometry(L.random_isometry(RNG, 0.4), L.E4)
@@ -174,7 +181,83 @@ class TestShapeData:
         assert np.median(devs) < 0.05
 
 
+CUBIC_EXP = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+             (3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def lstsq_fit(mesh, u):
+    """Reference for fit_derivatives: one weighted least-squares cubic fit
+    per vertex, solved by lstsq instead of the normal equations."""
+    pairs = mesh.two_ring_pairs
+    du = np.empty((mesh.n_vertices, 2))
+    hess = np.empty((mesh.n_vertices, 3))
+    for v in range(mesh.n_vertices):
+        k = pairs[pairs[:, 0] == v, 1]
+        d = mesh.vertices[k] - mesh.vertices[v]
+        s = np.linalg.norm(d, axis=1).mean()
+        x = d / s
+        sw = np.sqrt(1.0 / (1.0 + (x**2).sum(axis=1)))
+        P = np.stack([x[:, 0]**p * x[:, 1]**q for p, q in CUBIC_EXP], axis=-1)
+        c = np.linalg.lstsq(P * sw[:, None], (u[k] - u[v]) * sw,
+                            rcond=None)[0]
+        du[v] = c[:2] / s
+        hess[v] = [2 * c[2] / s**2, c[3] / s**2, 2 * c[4] / s**2]
+    return du, hess
+
+
+class TestFitDerivatives:
+    @pytest.mark.parametrize("field", ["umbilic", "trig"])
+    def test_matches_per_vertex_lstsq(self, field):
+        m = MM.make_mesh(1.4, 8, 24)
+        if field == "umbilic":
+            u = SF.umbilic_surface(m, 0.4).u
+        else:
+            u = np.sin(3 * m.vertices[:, 0]) * np.cos(2 * m.vertices[:, 1])
+        fit = SF.fit_derivatives(m, u)
+        du, hess = lstsq_fit(m, u)
+        # the one-sided rim stencils are ill-conditioned (normal equations
+        # and lstsq part there at ~1e-9), and no caller reads the rim fit
+        inner = m.deep_interior_mask(0)
+        for got, ref in ((fit["du"], du), (fit["hess"], hess)):
+            err = np.abs(got[inner] - ref[inner]).max()
+            assert err <= 1e-10 * np.abs(ref[inner]).max()
+
+
+def loop_chi_residual(sd):
+    """chi_residual with the heat step written as two explicit updates."""
+    mesh = sd.mesh
+    detB = sd.detB
+    chi_mask = sd.mask & np.isfinite(detB) & (detB < -CHI_MASK_TOL)
+    chi = np.zeros(mesh.n_vertices)
+    chi[chi_mask] = np.log(-detB[chi_mask]) / 4.0
+    Ifield = np.where(np.isfinite(sd.I), sd.I, np.eye(2))
+    K, mass = SF._metric_operator(mesh, Ifield)
+    dt = 0.5 / np.max(np.asarray(K.diagonal()) / mass)
+    rounds = int(np.ceil(CHI_SMOOTH_WIDTH**2 / (2 * dt)))
+    rounds = min(max(rounds, 1), CHI_HEAT_ROUNDS)
+    ok = chi_mask.astype(float)
+    for _ in range(rounds):
+        chi = chi - dt * (K @ chi) / mass
+        ok = ok - dt * (K @ ok) / mass
+    lap = -(K @ chi) / mass
+    valid = (chi_mask & (ok > CHI_VALID_FRAC)
+             & mesh.deep_interior_mask(BOUNDARY_MASK_RINGS))
+    res = np.full(mesh.n_vertices, np.nan)
+    res[valid] = lap[valid] - (np.exp(4 * chi[valid]) - 1.0)
+    return res, valid
+
+
 class TestChiResidual:
+    def test_matches_explicit_loop(self):
+        m = MM.make_mesh(2.0, 16, 48)
+        sd = SF.shape_data(SF.horosphere_surface(m, rotation=0.7))
+        res, valid = SF.chi_residual(sd)
+        ref, ref_valid = loop_chi_residual(sd)
+        assert ref_valid.any()
+        assert np.array_equal(valid, ref_valid)
+        assert (np.abs(res[valid] - ref[valid]).max()
+                <= 1e-12 * np.abs(ref[valid]).max())
+
     def test_horosphere_near_zero(self):
         m = MM.make_mesh(2.0, 24, 72)
         S = SF.horosphere_surface(m)
