@@ -26,6 +26,9 @@ REGULARITY_LEVEL = 2         # barycentric grid level of the past-hull samples i
 REGULARITY_REFINE = 64       # regularity_margin refines at most this many argmin candidates
 REGULARITY_CHART_DEPTH = 0.05  # regularity_margin drops hull samples with 1+z3^2-z1^2-z2^2 below this
 
+# meshes
+MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim
+
 # discrete surfaces
 SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
 MARGIN_FLOOR = 1e-7          # graphs below this margin are rejected outright
@@ -43,5 +46,13 @@ FLOW_BUDGET = 4000           # flow steps in flow_run
 FLOW_DS_GROWTH = 1.3         # flow step growth after an accepted step
 FLOW_INFLATION = 1.5         # a flow step may raise sup|H| by at most this factor
 SLOPE_LIMIT_ROUNDS = 200     # neighbour-average rounds in slope_limit
-FLOW_FALLBACK_STEPS = 200    # flow steps before solve_maximal retries Newton
 AREA_ROUNDOFF = 1e-12        # relative area drop a Newton line search still accepts as round-off
+LINE_SEARCH_HALVINGS = 40    # step halvings before a Newton line search gives up
+STAGNATION_STEP = 1e-3       # a Newton step length below this counts as stagnant
+STAGNATION_COUNT = 5         # consecutive stagnant Newton steps that end a stage
+WARM_START_FRAC = 0.98       # warm_start interpolates the previous stage inside this fraction of its radius
+CAUCHY_COMMON_FRAC = 0.9     # Cauchy differences compare stages inside this fraction of the common radius
+FLOW_GRADIENT_FLOOR = 1e-12  # floor on 1 - w^2 |grad u|^2 in the flow's frozen gradient function
+FLOW_CHECK_SKIP_FRAC = 0.05  # flow_bound_checks skips this leading share of the history (transient)
+FLOW_CHECK_SLACK = 0.1       # relative slack of the appendix bound H^2 <= (n/2)/s
+FLOW_CHECK_DU_SLACK = 0.01   # absolute slack of the appendix bound |u_s - u_0| <= sqrt(n s)

@@ -238,9 +238,10 @@ def graph_margins(hull: ConvexHull3, mesh: DiskMesh, u):
     return hull.facet_margins(z)
 
 
-def hull_heights(hull: ConvexHull3, mesh: DiskMesh):
-    """Heights (t_lo, t_hi) of the hull boundaries over each mesh vertex
-    (original time frame).  Planar hulls return the plane height twice.
+def hull_heights(hull: ConvexHull3, y):
+    """Heights (t_lo, t_hi) of the hull boundaries over the disk points y,
+    shape (N, 2) (original time frame).  Planar hulls return the plane
+    height twice.
 
     The vertical (Killing) line over a disk point is the chart curve
     (k sec t, tan t) with k the Klein coordinates, so a facet a.z + b <= 0
@@ -248,7 +249,7 @@ def hull_heights(hull: ConvexHull3, mesh: DiskMesh):
     phi = atan2(b, a3).  Where s = -c/R < 1, the up-crossing root
     asin(s) - phi bounds t from above and pi - asin(s) - phi from below.
     """
-    h = L.poincare_to_hyperboloid(mesh.vertices)
+    h = L.poincare_to_hyperboloid(y)
     k = h[:, :2] / h[:, 2:3]  # Klein coordinates
     eq = hull.equations
     if hull.planar:  # the plane through the curve, as two half-spaces
@@ -322,10 +323,9 @@ def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
         # every point of a totally geodesic slab sees the past envelope at
         # exactly pi/2 (the dual-point apex), so the min does not depend on
         # the sample; a few representative samples suffice
-        t_lo, _ = hull_heights(hull, mesh)
         idx = np.linspace(0, mesh.n_vertices - 1, 8).astype(int)
-        Y = L.cyl_to_quadric(mesh.vertices[idx], t_lo[idx])
-        t_hull = t_lo[idx]
+        t_hull, _ = hull_heights(hull, mesh.vertices[idx])
+        Y = L.cyl_to_quadric(mesh.vertices[idx], t_hull)
     else:
         zp = _facet_samples(hull, -1, REGULARITY_LEVEL)
         zp = zp[1.0 + zp[:, 2] ** 2 - zp[:, 0] ** 2 - zp[:, 1] ** 2

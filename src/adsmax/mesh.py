@@ -17,6 +17,8 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse as sp
 
+from .constants import MESH_GRADING
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -133,20 +135,19 @@ class DiskMesh:
         return MappingProxyType({k: _read_only(v) for k, v in geom.items()})
 
 
-def ring_radii(radius: float, n_rings: int, n_angular: int,
-               grading: float = 0.9) -> np.ndarray:
+def ring_radii(radius: float, n_rings: int, n_angular: int) -> np.ndarray:
     """Ring radii by graded steps of the conformal polar coordinate
     zeta = log tanh(rho/2), which keeps the strip cells conformally similar.
 
     The innermost ring sits at radius/n_rings so refinement shrinks cells
-    everywhere; grading < 1 packs the remaining steps toward the boundary
-    ring (finer there in the resolution coordinate).
+    everywhere; MESH_GRADING < 1 packs the remaining steps toward the
+    boundary ring (finer there in the resolution coordinate).
     """
     emax = np.tanh(radius / 2.0)
     e1 = np.tanh(radius / (2.0 * n_rings))
     z0, z1 = np.log(e1), np.log(emax)
     s = np.arange(n_rings, dtype=float) / max(n_rings - 1, 1)
-    z = z0 + (z1 - z0) * s**grading
+    z = z0 + (z1 - z0) * s**MESH_GRADING
     # clamp the step/angle aspect into a range that keeps strip cells fat
     # (apex and base angles both above the 20-degree audit), preserving the
     # total span
@@ -171,18 +172,13 @@ def ring_radii(radius: float, n_rings: int, n_angular: int,
     return 2.0 * np.arctanh(np.exp(z))
 
 
-def make_mesh(
-    radius: float,
-    n_rings: int,
-    n_angular: int,
-    grading: float = 0.9,
-) -> DiskMesh:
+def make_mesh(radius: float, n_rings: int, n_angular: int) -> DiskMesh:
     """Triangulated disk with 1 + n_rings*n_angular vertices."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if n_rings < 2 or n_angular < 6:
         raise ValueError("degenerate resolution")
-    rhos = ring_radii(radius, n_rings, n_angular, grading)
+    rhos = ring_radii(radius, n_rings, n_angular)
     dtheta = 2 * np.pi / n_angular
     j = np.arange(n_angular)
 

@@ -1,10 +1,11 @@
 """Maximal surfaces with prescribed asymptotic boundary.
 
 Two routes share one residual assembly.  The damped Newton iteration is the
-primary solver: the discrete problem maximizes the concave graph area, so
-Newton directions with an area line search constrained by the spacelike
-margin converge globally on well-posed data.  The mean curvature flow is the
-parabolic route and the fallback: semi-implicit steps
+solver: the discrete problem maximizes the concave graph area, so Newton
+directions with an area line search constrained by the spacelike margin
+converge globally on well-posed data.  The mean curvature flow is the
+parabolic route, kept as the check of the paper's appendix bounds and not
+used by `solve_maximal`: semi-implicit steps
 
     diag(m phi v) (u+ - u)/ds = -F(u) - K(u)(u+ - u)
 
@@ -15,7 +16,9 @@ Dirichlet data is the curve's radial trace tau(theta) on the boundary ring;
 this replaces the hull-restriction trace, which has the same asymptotic
 limit.  Initial data is the midsurface of the exact hull heights, with no
 smoothing pass, slope-limited into the spacelike cone.  Exhaustion solves
-on growing disks with warm starts resampled in polar coordinates.
+on growing disks with warm starts resampled in polar coordinates; only the
+last disks matter to the limit, so a stage whose start cannot be made
+spacelike is skipped.
 """
 
 from __future__ import annotations
@@ -33,15 +36,23 @@ from . import mesh as MS
 from . import surface as SF
 from .constants import (
     AREA_ROUNDOFF,
+    CAUCHY_COMMON_FRAC,
     FLOW_BUDGET,
+    FLOW_CHECK_DU_SLACK,
+    FLOW_CHECK_SKIP_FRAC,
+    FLOW_CHECK_SLACK,
     FLOW_DS_GROWTH,
-    FLOW_FALLBACK_STEPS,
+    FLOW_GRADIENT_FLOOR,
     FLOW_INFLATION,
+    LINE_SEARCH_HALVINGS,
     MAX_NEWTON,
     MEAN_CURV_TOL,
     SLOPE_LIMIT_ROUNDS,
     SPACELIKE_MARGIN,
+    STAGNATION_COUNT,
+    STAGNATION_STEP,
     STEP_UNDERFLOW,
+    WARM_START_FRAC,
     WIDTH_REJECT_GAP,
 )
 
@@ -98,24 +109,30 @@ def boundary_trace(curve: BD.BoundaryCurve, mesh: MS.DiskMesh):
     return curve.tau_of_theta(mesh.theta[mesh.boundary_mask])
 
 
-def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-                  chull: HU.ConvexHull3 | None = None) -> SF.SpacelikeGraph:
-    """Hull-midsurface start: u0 = (lower + upper hull heights)/2 with the
-    radial boundary trace clamped into the hull interval, then slope
-    limiting.  No smoothing pass: a neighbour average of the exact
-    midsurface can lose more margin than slope limiting wins back.
+def _hull_midsurface(curve, chull, mesh, at):
+    """(lower + upper hull heights)/2 at the vertices `at`, a mask or slice
+    that holds the whole rim; rim vertices take the radial boundary trace
+    clamped into the hull interval.
 
     At a finite radius the raw radial trace can stick out of the hull by an
     amount that vanishes as the radius grows; clamping restores the
     containment hypotheses of the confinement results while keeping the
     asymptotic boundary data.
     """
+    t_lo, t_hi = HU.hull_heights(chull, mesh.vertices[at])
+    u = 0.5 * (t_lo + t_hi)
+    rim = mesh.boundary_mask[at]
+    u[rim] = np.clip(boundary_trace(curve, mesh), t_lo[rim], t_hi[rim])
+    return u
+
+
+def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
+                  chull: HU.ConvexHull3 | None = None) -> SF.SpacelikeGraph:
+    """Hull-midsurface start, then slope limiting.  No smoothing pass: a
+    neighbour average of the exact midsurface can lose more margin than
+    slope limiting wins back."""
     chull = chull if chull is not None else HU.convex_hull(curve)
-    t_lo, t_hi = HU.hull_heights(chull, mesh)
-    u0 = 0.5 * (t_lo + t_hi)
-    bm = mesh.boundary_mask
-    u0[bm] = np.clip(boundary_trace(curve, mesh), t_lo[bm], t_hi[bm])
-    u0 = slope_limit(mesh, u0)
+    u0 = slope_limit(mesh, _hull_midsurface(curve, chull, mesh, slice(None)))
     return SF.SpacelikeGraph.certify(mesh, u0, floor=0.0)
 
 
@@ -155,17 +172,8 @@ class FlowState:
         return self.surface.mesh
 
 
-def flow_init(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-              chull: HU.ConvexHull3 | None = None) -> FlowState:
-    S = initial_graph(curve, mesh, chull)
-    h_min = float(np.sqrt(2 * mesh.fem["area"].min()))
-    return FlowState(surface=S, s=0.0, ds=h_min**2 / 4.0, u0=S.u.copy())
-
-
-def flow_step(state: FlowState, cfg: SolveConfig | None = None,
-              chull: HU.ConvexHull3 | None = None) -> FlowState:
+def flow_step(state: FlowState, cfg: SolveConfig) -> FlowState:
     """One accepted semi-implicit step (rejected trials halve ds)."""
-    cfg = cfg or SolveConfig()
     mesh = state.mesh
     u = state.surface.u
     interior = mesh.interior_mask
@@ -177,7 +185,8 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
     # v at vertices, frozen at step start
     w = (1 + r2) / 2
     du = SF.recovered_gradient(mesh, u)
-    v = 1.0 / np.sqrt(np.maximum(1 - w**2 * (du**2).sum(axis=1), 1e-12))
+    v = 1.0 / np.sqrt(np.maximum(1 - w**2 * (du**2).sum(axis=1),
+                                 FLOW_GRADIENT_FLOOR))
     D = m * phi * v
     K = SF.tangent_stiffness(mesh, u)
 
@@ -202,18 +211,13 @@ def flow_step(state: FlowState, cfg: SolveConfig | None = None,
         break
 
     s_new = state.s + ds
-    entry = {
+    state.history.append({
         "s": s_new,
         "ds": ds,
         "sup_H": supH_new,
         "max_du": float(np.abs(u_new - state.u0).max()),
         "margin": float(margins.min()),
-    }
-    if chull is not None:
-        entry["hull_margin"] = float(
-            HU.graph_margins(chull, mesh, u_new).min()
-        )
-    state.history.append(entry)
+    })
     return FlowState(
         surface=SF.SpacelikeGraph(mesh, u_new, float(margins.min())),
         s=s_new,
@@ -228,8 +232,9 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
              cfg: SolveConfig | None = None) -> FlowState:
     """Run the flow until sup|H| < tol_H or the step budget is exhausted."""
     cfg = cfg or SolveConfig()
-    chull = HU.convex_hull(curve)
-    state = flow_init(curve, mesh, chull)
+    S = initial_graph(curve, mesh)
+    h_min = float(np.sqrt(2 * mesh.fem["area"].min()))
+    state = FlowState(surface=S, s=0.0, ds=h_min**2 / 4.0, u0=S.u.copy())
     supH, _, _ = residual_norms(mesh, state.surface.u)
     if supH < cfg.tol_H:
         state.converged = True
@@ -238,24 +243,25 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
                               "margin": state.surface.margin})
         return state
     for _ in range(FLOW_BUDGET):
-        state = flow_step(state, cfg, chull)
+        state = flow_step(state, cfg)
         if state.converged:
             break
     return state
 
 
-def flow_bound_checks(state: FlowState, skip_frac: float = 0.05,
-                      slack: float = 0.1, du_slack: float = 0.01):
-    """Appendix bounds along the flow: H^2 <= (1+slack)*(n/2)/s past the
-    transient, and max|u_s - u_0| <= sqrt(n s) + du_slack throughout (n=2)."""
+def flow_bound_checks(state: FlowState):
+    """Appendix bounds along the flow (n = 2): H^2 <= (1 + FLOW_CHECK_SLACK)
+    (n/2)/s past the first FLOW_CHECK_SKIP_FRAC of the history, and
+    max|u_s - u_0| <= sqrt(n s) + FLOW_CHECK_DU_SLACK throughout."""
     hist = state.history
-    n_skip = int(np.ceil(skip_frac * len(hist)))
+    n_skip = int(np.ceil(FLOW_CHECK_SKIP_FRAC * len(hist)))
     h_ok = all(
-        h["sup_H"] ** 2 <= (1 + slack) / h["s"]
+        h["sup_H"] ** 2 <= (1 + FLOW_CHECK_SLACK) / h["s"]
         for h in hist[n_skip:] if h["s"] > 0
     )
     du_ok = all(
-        h["max_du"] <= np.sqrt(2 * h["s"]) + du_slack for h in hist
+        h["max_du"] <= np.sqrt(2 * h["s"]) + FLOW_CHECK_DU_SLACK
+        for h in hist
     )
     return {"mean_curvature_bound": h_ok, "displacement_bound": du_ok}
 
@@ -263,8 +269,7 @@ def flow_bound_checks(state: FlowState, skip_frac: float = 0.05,
 # ---------------------------------------------------------------------------
 # damped Newton with exhaustion
 
-def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
-                 chull: HU.ConvexHull3 | None = None):
+def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig):
     """Newton iteration on F(u) = 0 with an area line search kept inside
     the spacelike cone.  Returns (u, info)."""
     u = np.asarray(u0, dtype=float).copy()
@@ -273,11 +278,8 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
     stagnant = 0
     for it in range(MAX_NEWTON):
         supH, F, margins = residual_norms(mesh, u)
-        entry = {"iter": it, "sup_H": supH, "margin": float(margins.min())}
-        if chull is not None:
-            entry["hull_margin"] = float(
-                HU.graph_margins(chull, mesh, u).min())
-        hist.append(entry)
+        hist.append({"iter": it, "sup_H": supH,
+                     "margin": float(margins.min())})
         if supH < cfg.tol_H:
             return u, {"converged": True, "iterations": it, "history": hist}
         K = SF.tangent_stiffness(mesh, u)
@@ -285,20 +287,18 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
         area0 = SF.graph_area(mesh, u)
         alpha = 1.0
         accepted = False
-        for _ in range(40):
+        for _ in range(LINE_SEARCH_HALVINGS):
             u_try = u + alpha * delta
-            if SF.triangle_margins(mesh, u_try).min() > 0:
-                if (SF.graph_area(mesh, u_try)
-                        >= area0 - AREA_ROUNDOFF * abs(area0)):
-                    accepted = True
-                    break
+            if (SF.triangle_margins(mesh, u_try).min() > 0
+                    and SF.graph_area(mesh, u_try)
+                    >= area0 - AREA_ROUNDOFF * abs(area0)):
+                accepted = True
+                break
             alpha *= 0.5
-        if not accepted:
-            return u, {"converged": False, "iterations": it,
-                       "history": hist, "stagnated": True}
-        u = u + alpha * delta
-        stagnant = stagnant + 1 if alpha < 1e-3 else 0
-        if stagnant >= 5:
+        if accepted:
+            u = u_try
+            stagnant = stagnant + 1 if alpha < STAGNATION_STEP else 0
+        if not accepted or stagnant >= STAGNATION_COUNT:
             return u, {"converged": False, "iterations": it,
                        "history": hist, "stagnated": True}
     supH, _, _ = residual_norms(mesh, u)
@@ -307,15 +307,15 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig,
 
 
 def warm_start(curve, mesh, prev_mesh, prev_u, chull):
-    """Interpolate the previous stage in polar coordinates, fall back to
-    the hull midsurface outside its radius, re-limit the slopes."""
-    base = initial_graph(curve, mesh, chull).u
-    inside = mesh.rho <= prev_mesh.radius * 0.98
+    """Interpolate the previous stage in polar coordinates inside
+    WARM_START_FRAC of its radius, take the hull midsurface on the other
+    vertices and the rim, and limit the slopes once."""
+    inside = mesh.rho <= prev_mesh.radius * WARM_START_FRAC
     inside &= mesh.interior_mask
-    vals = MS.interpolate_polar(prev_mesh, prev_u,
-                                mesh.rho[inside], mesh.theta[inside])
-    u0 = base.copy()
-    u0[inside] = vals
+    u0 = np.empty(mesh.n_vertices)
+    u0[inside] = MS.interpolate_polar(prev_mesh, prev_u,
+                                      mesh.rho[inside], mesh.theta[inside])
+    u0[~inside] = _hull_midsurface(curve, chull, mesh, ~inside)
     return slope_limit(mesh, u0)
 
 
@@ -323,13 +323,16 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
     """Exhaustion Newton solve; returns (SpacelikeGraph, report).
 
     Boundary data whose hull width reaches pi/2 (lightlike segments in the
-    closure) is rejected with the width diagnostic.  Stages warm-start from
-    each other; the report records the Cauchy differences of consecutive
-    stages on the common interior, per-stage Newton histories, and hull
-    containment.  A stage whose Newton run stalls goes through the flow
-    and a second Newton run; its report is the second run's, with
-    `used_flow_fallback` set and the first run's iterations and history
-    under `stalled`.
+    closure) is rejected with the width diagnostic.  Each stage starts from
+    the hull midsurface, or from the last solved stage, and runs Newton
+    once.  A stage whose start cannot be made spacelike is skipped, and its
+    radius goes to `skipped`; if that stage is the last one, the data is
+    rejected with the width diagnostic.  A stage whose Newton run stalls is
+    reported with
+    `converged` false; there is no fallback.  The report records per-stage
+    Newton histories and hull containment (`hull_margin`, once per stage;
+    the top-level value is the last stage's), and the Cauchy differences of
+    consecutive solved stages on their common interior.
     """
     cfg = cfg or SolveConfig()
     chull = HU.convex_hull(curve)
@@ -346,10 +349,12 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
             f"(width diagnostic {wrep.width_raw:.6f}, bound pi/2)",
             width_report=wrep,
         )
-    report = {"width": wrep.width, "stages": [], "cauchy_diffs": []}
+    report = {"width": wrep.width, "stages": [], "skipped": [],
+              "cauchy_diffs": []}
     prev_mesh = None
     prev_u = None
-    for radius, n_rings, n_angular in cfg.stages:
+    last = len(cfg.stages) - 1
+    for i, (radius, n_rings, n_angular) in enumerate(cfg.stages):
         mesh = MS.make_mesh(radius, n_rings, n_angular)
         try:
             if prev_mesh is None:
@@ -357,28 +362,19 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
             else:
                 u0 = warm_start(curve, mesh, prev_mesh, prev_u, chull)
         except SolveRejected as exc:
-            raise SolveRejected(str(exc), width_report=wrep) from exc
-        u, info = newton_solve(mesh, u0, cfg, chull)
-        if not info["converged"]:
-            stalled = {"iterations": info["iterations"],
-                       "history": info["history"]}
-            # parabolic fallback from the current iterate, then retry
-            state = FlowState(
-                surface=SF.SpacelikeGraph.certify(mesh, u, floor=0.0),
-                s=0.0, ds=1e-4, u0=u.copy())
-            for _ in range(FLOW_FALLBACK_STEPS):
-                state = flow_step(state, cfg, chull)
-                if state.converged:
-                    break
-            u, info = newton_solve(mesh, state.surface.u, cfg, chull)
-            info["used_flow_fallback"] = True
-            info["stalled"] = stalled
+            if i == last:
+                raise SolveRejected(str(exc), width_report=wrep) from exc
+            report["skipped"].append(radius)
+            continue
+        u, info = newton_solve(mesh, u0, cfg)
         report["stages"].append({
-            "radius": radius, "n_vertices": mesh.n_vertices, **info,
+            "radius": radius, "n_vertices": mesh.n_vertices,
+            "hull_margin": float(HU.graph_margins(chull, mesh, u).min()),
+            **info,
         })
         if prev_mesh is not None:
             common = prev_mesh.rho <= min(prev_mesh.radius,
-                                          radius) * 0.9
+                                          radius) * CAUCHY_COMMON_FRAC
             vals = MS.interpolate_polar(mesh, u, prev_mesh.rho[common],
                                         prev_mesh.theta[common])
             report["cauchy_diffs"].append(
@@ -386,7 +382,6 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         prev_mesh, prev_u = mesh, u
     S = SF.SpacelikeGraph.certify(prev_mesh, prev_u, floor=0.0)
     report["final_sup_H"] = residual_norms(prev_mesh, prev_u)[0]
-    report["hull_margin"] = float(
-        HU.graph_margins(chull, prev_mesh, prev_u).min())
+    report["hull_margin"] = report["stages"][-1]["hull_margin"]
     report["converged"] = bool(report["stages"][-1]["converged"])
     return S, report

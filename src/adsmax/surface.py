@@ -395,7 +395,7 @@ def metric_gauss_curvature(mesh: DiskMesh, metric):
     return K
 
 
-def shape_data(S: SpacelikeGraph, mask_rings: int = BOUNDARY_MASK_RINGS) -> ShapeData:
+def shape_data(S: SpacelikeGraph) -> ShapeData:
     mesh = S.mesh
     du = vertex_gradient(S)
     nu = normal_field(S, du)
@@ -449,7 +449,7 @@ def shape_data(S: SpacelikeGraph, mask_rings: int = BOUNDARY_MASK_RINGS) -> Shap
     K_int = metric_gauss_curvature(mesh, II)
     J = _complex_structure(II)
 
-    mask = mesh.deep_interior_mask(mask_rings)
+    mask = mesh.deep_interior_mask(BOUNDARY_MASK_RINGS)
     for arr in (H, detB, k1, k2, K_ext, K_int):
         arr[~mask] = np.nan
     nanmat = ~mask
@@ -487,7 +487,7 @@ def _metric_operator(mesh: DiskMesh, metric):
     return K, mass
 
 
-def chi_residual(sd: ShapeData, smooth_width: float = CHI_SMOOTH_WIDTH):
+def chi_residual(sd: ShapeData):
     """Residual of Delta chi = e^{4 chi} - 1 with chi = log(-det B)/4.
 
     Vertices with det B >= -CHI_MASK_TOL (flat spots) are masked; returns
@@ -496,7 +496,7 @@ def chi_residual(sd: ShapeData, smooth_width: float = CHI_SMOOTH_WIDTH):
     the raw second difference would amplify the O(h^2) noise of the
     discrete det B by h^{-2}.
 
-    The steps aim at total variance smooth_width^2, but dt sits at the
+    The steps aim at total variance CHI_SMOOTH_WIDTH^2, but dt sits at the
     stability limit, which shrinks like h^2, and the rounds are capped at
     CHI_HEAT_ROUNDS.  So the mollifier is not a fixed physical scale: on
     the clipped horosphere graphs of make_mesh(3.0, .) the target needs
@@ -514,7 +514,7 @@ def chi_residual(sd: ShapeData, smooth_width: float = CHI_SMOOTH_WIDTH):
 
     diagK = np.asarray(K.diagonal())
     dt = 0.5 / np.max(diagK / mass)
-    rounds = int(np.ceil(smooth_width**2 / (2 * dt)))
+    rounds = int(np.ceil(CHI_SMOOTH_WIDTH**2 / (2 * dt)))
     rounds = min(max(rounds, 1), CHI_HEAT_ROUNDS)
     # one explicit heat step, chi <- chi - dt K chi / mass, as one matrix
     step = (sp.identity(mesh.n_vertices, format="csr")
@@ -568,16 +568,15 @@ def horosphere_height(y):
     return np.arctan2(np.cosh(bet), np.cosh(sig))
 
 
-def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0,
-                       time_shift: float = 0.0, clip: bool = True):
+def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
     """The flat maximal surface: equidistant pi/4 from a spacelike geodesic.
 
     The default axis is the x1-geodesic; its boundary is the four-lightlike
     tent curve and the principal curvatures are -1 and +1 everywhere.  The
     margin of the interpolant goes to zero toward the four boundary corners,
     so when the requested mesh radius is too large the disk is clipped
-    (radius reduced until the graph certificate holds).  rotation/time_shift
-    move the surface by isometries that keep the closed form a graph.
+    (radius reduced until the graph certificate holds).  rotation moves the
+    surface by an isometry that keeps the closed form a graph.
     """
     from .mesh import make_mesh
 
@@ -588,11 +587,9 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0,
     radius = mesh.radius
     for _ in range(40):
         y = mesh.vertices @ rot.T if rotation != 0.0 else mesh.vertices
-        u = horosphere_height(y) + time_shift
+        u = horosphere_height(y)
         if triangle_margins(mesh, u).min() > 0.0:
             return SpacelikeGraph(mesh, u, float(triangle_margins(mesh, u).min()))
-        if not clip:
-            raise ValueError("mesh radius too large for the horosphere chart")
         radius *= 0.95
         mesh = make_mesh(radius, mesh.n_rings, mesh.n_angular)
     raise ValueError("could not certify a clipped horosphere graph")

@@ -216,7 +216,7 @@ class TestEnvelopes:
         c = step_curve(0.5)
         h = HU.convex_hull(c)
         um, up = HU.dod_envelopes(c, MESH)
-        lo, hi = HU.hull_heights(h, MESH)
+        lo, hi = HU.hull_heights(h, MESH.vertices)
         assert np.all(um <= lo + 1e-8)
         assert np.all(lo <= hi + 1e-12)
         assert np.all(hi <= up + 1e-8)
@@ -227,11 +227,20 @@ class TestEnvelopes:
         # thin hulls: a sampled search collapses these intervals to a point
         h = HU.convex_hull(B.lift_graph(f, 256))
         mesh = MM.make_mesh(2.2, 20, 64)
-        lo, hi = HU.hull_heights(h, mesh)
+        lo, hi = HU.hull_heights(h, mesh.vertices)
         assert np.all(lo < hi)
         for t in (lo, hi):
             assert np.abs(HU.graph_margins(h, mesh, t)).max() < 1e-12
         assert HU.graph_margins(h, mesh, 0.5 * (lo + hi)).min() > 0
+
+    def test_subset_rows_match_full_mesh(self):
+        h = HU.convex_hull(step_curve(0.5, 256))
+        lo, hi = HU.hull_heights(h, MESH.vertices)
+        outer = MESH.rho > 1.0
+        assert 0 < outer.sum() < MESH.n_vertices
+        sub = HU.hull_heights(h, MESH.vertices[outer])
+        for full, part in zip((lo, hi), sub):
+            assert np.abs(part - full[outer]).max() <= 1e-14
 
     def test_facet_missing_the_line_does_not_bind(self):
         # slab |z3| <= 1/2 cut by z1 >= 1/10: over Klein points with
@@ -239,7 +248,7 @@ class TestEnvelopes:
         eq = np.array([[0.0, 0, 1, -0.5], [0, 0, -1, -0.5], [-1, 0, 0, 0.1]])
         c = B.lift_graph(B.step_family(0.5), 64)
         h = HU.ConvexHull3(c, 0.0, np.zeros((4, 3)), False, eq, None, None)
-        lo, hi = HU.hull_heights(h, MESH)
+        lo, hi = HU.hull_heights(h, MESH.vertices)
         h3 = L.poincare_to_hyperboloid(MESH.vertices)
         far = h3[:, 0] / h3[:, 2] >= 0.1
         assert far.sum() > 50
@@ -252,7 +261,7 @@ class TestEnvelopes:
         h = HU.convex_hull(c)
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         q = L.normalize_quadric(L.from_matrix(L.adj2(np.linalg.inv(J) @ m.m)))
-        lo, hi = HU.hull_heights(h, MESH)
+        lo, hi = HU.hull_heights(h, MESH.vertices)
         dev = min(
             np.abs(lo - L.plane_graph_height(q, MESH.vertices, branch=b)).max()
             for b in (-1, 1)

@@ -58,21 +58,43 @@ class TestSolveMaximal:
         cfg = SV.SolveConfig(stages=((3.0, 26, 84),))
         S, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.8), 512), cfg)
         assert rep["converged"]
-        assert "used_flow_fallback" not in rep["stages"][0]
 
-    def test_report_keeps_the_stalled_newton_run(self, monkeypatch):
-        # one Newton iteration cannot reach tol_H from the start, so the
-        # stage goes through the flow fallback and a second Newton run
+    # the slope-limited start is not spacelike on the smallest disks of the
+    # steep steps; those stages are skipped and the larger ones solve
+    @pytest.mark.parametrize("kappa, skipped",
+                             [(0.7, [1.4]), (0.8, [1.4, 2.2])])
+    def test_steep_step_skips_its_first_stages(self, kappa, skipped):
+        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(kappa), 128))
+        assert rep["converged"]
+        assert rep["skipped"] == skipped
+        radii = [s[0] for s in SV.SolveConfig().stages]
+        assert [s["radius"] for s in rep["stages"]] == [
+            r for r in radii if r not in skipped]
+        sd = SF.shape_data(S)
+        k = np.concatenate([sd.k1[sd.mask], sd.k2[sd.mask]])
+        assert np.isfinite(k).all() and np.abs(k).max() < 1.0
+
+    def test_last_stage_without_spacelike_start_rejects(self):
+        with pytest.raises(SV.SolveRejected) as exc:
+            SV.solve_maximal(B.lift_graph(B.step_family(0.9), 128))
+        assert exc.value.width_report is not None
+
+    def test_stalled_stage_is_not_converged(self, monkeypatch):
+        # one Newton iteration cannot reach tol_H from the start; the stage
+        # ends there, and no flow runs
+        def no_flow(*args, **kwargs):
+            raise AssertionError("solve_maximal ran a flow step")
+
         monkeypatch.setattr(SV, "MAX_NEWTON", 1)
+        monkeypatch.setattr(SV, "flow_step", no_flow)
         cfg = SV.SolveConfig(stages=((1.4, 8, 24),))
         _, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.3), 128), cfg)
         stage = rep["stages"][0]
-        assert stage["used_flow_fallback"]
-        stalled = stage["stalled"]
-        assert stalled["iterations"] == 1
-        assert len(stalled["history"]) == 1
-        assert stalled["history"][0]["sup_H"] >= cfg.tol_H
-        assert stage["converged"]
+        assert stage["iterations"] == 1
+        assert len(stage["history"]) == 1
+        assert stage["history"][0]["sup_H"] >= cfg.tol_H
+        assert not stage["converged"]
+        assert not rep["converged"]
 
 
 class TestInteriorSolve:
