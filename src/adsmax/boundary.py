@@ -19,7 +19,14 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ive
 
 from . import lorentz as L
-from .constants import ACHRONAL_TOL, LIGHTLIKE_RUN_TOL, PLANAR_TOL
+from .constants import (
+    ACHRONAL_TOL,
+    LIGHTLIKE_RUN_TOL,
+    PLANAR_TOL,
+    QS_ANGLES,
+    QS_MAX_LOG_SCALE,
+    QS_SCALES,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -315,54 +322,30 @@ def two_step_curve(n_samples: int = 512) -> BoundaryCurve:
 # ---------------------------------------------------------------------------
 # quasi-symmetry modulus
 
-@dataclass(frozen=True)
-class QuadrupleSampler:
-    """Stratified cr=2 quadruples: Mobius transports of (-1, 0, 1, inf).
-
-    n_angles rotations x n_scales boosts on a symmetric log ladder; optional
-    extra random transports from a caller-provided seeded generator.
-    """
-
-    n_angles: int = 24
-    n_scales: int = 9
-    max_log_scale: float = 3.0
-    n_random: int = 0
-    seed: int = 0
-
-    def maps(self):
-        out = []
-        for s in np.linspace(-self.max_log_scale, self.max_log_scale, self.n_scales):
-            boost = L.MobiusMap(np.diag([np.exp(s / 2), np.exp(-s / 2)]))
-            for a in np.linspace(0, np.pi, self.n_angles, endpoint=False):
-                out.append(L.MobiusMap.rotation(a).compose(boost))
-        if self.n_random:
-            rng = np.random.default_rng(self.seed)
-            out.extend(L.random_mobius(rng) for _ in range(self.n_random))
-        return out
+# doubled angles of (-1, 0, 1, inf) in cot-coordinates
+BASE_QUADRUPLE_ANGLES = 2 * np.arctan2(1.0, np.array([-1.0, 0.0, 1.0, np.inf]))
 
 
-BASE_QUADRUPLE_ANGLES = 2 * np.arctan2(1.0, np.array([-1.0, 0.0, 1.0]))  # cot-coords
-BASE_EXTRA = 0.0  # doubled angle of the RP^1 point at infinity
-
-
-def qs_modulus(f: CircleHomeo, sampler: QuadrupleSampler | None = None) -> float:
+def qs_modulus(f: CircleHomeo) -> float:
     """Sampled quasi-symmetry modulus: sup over cr=2 quadruples of the
     symmetrized log-distortion max(d, 1/d), d = log cr(f(quad)) / log 2.
 
-    Equals 1 for the identity and any Mobius map; finite sampling gives a
-    lower bound of the true modulus.
+    The quadruples are Mobius transports of (-1, 0, 1, inf): QS_ANGLES
+    rotations of QS_SCALES boosts on a symmetric log ladder.  Equals 1 for
+    the identity and any Mobius map; finite sampling gives a lower bound of
+    the true modulus.
     """
-    sampler = sampler or QuadrupleSampler()
-    base = np.concatenate([BASE_QUADRUPLE_ANGLES, [BASE_EXTRA]])
     worst = 1.0
-    for g in sampler.maps():
-        quad = g.apply_angle(base)
-        image = f(quad)
-        cr = cross_ratio(*[angle_to_rp1(b) for b in image])
-        if not np.isfinite(cr) or cr <= 0:
-            return np.inf
-        d = abs(np.log(cr) / np.log(2.0))
-        if d == 0.0:
-            return np.inf
-        worst = max(worst, d, 1.0 / d)
+    for s in np.linspace(-QS_MAX_LOG_SCALE, QS_MAX_LOG_SCALE, QS_SCALES):
+        boost = L.MobiusMap(np.diag([np.exp(s / 2), np.exp(-s / 2)]))
+        for a in np.linspace(0, np.pi, QS_ANGLES, endpoint=False):
+            quad = L.MobiusMap.rotation(a).compose(boost).apply_angle(
+                BASE_QUADRUPLE_ANGLES)
+            cr = cross_ratio(*[angle_to_rp1(b) for b in f(quad)])
+            if not np.isfinite(cr) or cr <= 0:
+                return np.inf
+            d = abs(np.log(cr) / np.log(2.0))
+            if d == 0.0:
+                return np.inf
+            worst = max(worst, d, 1.0 / d)
     return float(worst)

@@ -16,9 +16,11 @@ SEPARATION_CLASS_TOL = 1e-9  # slack of -<p,q> against +-1 in lorentz_separation
 ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
 LIGHTLIKE_RUN_TOL = 1e-9     # cells with |dtau/dtheta| >= 1 - this are lightlike
 PLANAR_TOL = 1e-9            # singular-value ratio of a planar (Mobius) curve
+QS_ANGLES = 24               # qs_modulus: rotations of the base quadruple over [0, pi)
+QS_SCALES = 9                # qs_modulus: boosts on a symmetric log ladder
+QS_MAX_LOG_SCALE = 3.0       # qs_modulus: largest |log| boost of the ladder
 
 # convex hull / width
-RESAMPLE_SPACING_RATIO = 3.0  # convex_hull resamples above this max/min dtheta
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
@@ -34,8 +36,7 @@ SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
 MARGIN_FLOOR = 1e-7          # graphs below this margin are rejected outright
 BOUNDARY_MASK_RINGS = 2      # curvature diagnostics masked this close to the rim
 CHI_MASK_TOL = 1e-8          # |det B| below this -> chi is masked (flat spot)
-CHI_SMOOTH_WIDTH = 0.25      # target width of the heat mollifier in chi_residual
-CHI_HEAT_ROUNDS = 4000       # cap on the explicit heat rounds of chi_residual
+CHI_SMOOTH_WIDTH = 0.25      # width (sqrt of variance) of the heat mollifier in chi_residual
 CHI_VALID_FRAC = 0.98        # chi_residual keeps vertices whose diffused indicator exceeds this
 
 # solvers

@@ -25,7 +25,6 @@ from .constants import (
     REGULARITY_CHART_DEPTH,
     REGULARITY_LEVEL,
     REGULARITY_REFINE,
-    RESAMPLE_SPACING_RATIO,
     VERTICAL_FACET_TOL,
 )
 from .mesh import DiskMesh, neighbor_average
@@ -77,20 +76,16 @@ def _recentered_samples(curve: BoundaryCurve):
 
 
 def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
-    """Hull of the projective images of the curve samples.
+    """Hull of the projective images of the curve samples, as given.
 
-    Totally geodesic boundary data (Mobius curves) degenerates to a planar
-    hull, flagged rather than rejected, and is tested as given: resampling
-    moves it off its plane.  Other curves with strongly uneven parameter
-    spacing (images under boosts) are resampled uniformly first, so the
-    facet geometry stays comparable across isometric copies.
+    An isometry acts on the chart as a projective map, so it carries this
+    hull onto the hull of the image samples, and `width` is exact on any
+    hull: isometric copies get equal widths however unevenly they are
+    sampled.  Totally geodesic boundary data (Mobius curves) degenerates
+    to a planar hull, flagged rather than rejected.
     """
-    planar = curve.is_planar()
-    dth = np.diff(np.concatenate([curve.theta, [curve.theta[0] + 2 * np.pi]]))
-    if not planar and dth.max() > RESAMPLE_SPACING_RATIO * dth.min():
-        curve = curve.resample(len(curve.theta))
     t0, z = _recentered_samples(curve)
-    if planar:
+    if curve.is_planar():
         return ConvexHull3(curve, t0, z, True, None, None, None)
     try:
         q = QHull(z)

@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from . import lorentz as L
 from .constants import (
     BOUNDARY_MASK_RINGS,
-    CHI_HEAT_ROUNDS,
     CHI_MASK_TOL,
     CHI_SMOOTH_WIDTH,
     CHI_VALID_FRAC,
@@ -101,17 +101,6 @@ def residual(mesh: DiskMesh, u):
         np.add.at(F, mesh.triangles[:, k],
                   (flux * g["grads"][:, k]).sum(axis=1))
     return F, margins
-
-
-def mean_curvature(S: SpacelikeGraph):
-    """Discrete-operator H: the residual/lumped-mass ratio whose zero set is
-    the discrete maximal surface.  Exact for the converged solve; as a
-    pointwise estimator it carries stencil-asymmetry bias, so refinement
-    studies should use mean_curvature_pointwise.  Rim rows are NaN."""
-    F, _ = residual(S.mesh, S.u)
-    H = -F / S.mesh.fem["mass"]
-    H[S.mesh.boundary_mask] = np.nan
-    return H
 
 
 # exponents (p, q) of the cubic basis x1^p x2^q without constant term (the
@@ -492,16 +481,11 @@ def chi_residual(sd: ShapeData):
 
     Vertices with det B >= -CHI_MASK_TOL (flat spots) are masked; returns
     (residual, valid_mask).  The Laplacian is the P1 operator of the induced
-    metric.  chi is mollified by explicit heat steps before differentiating:
-    the raw second difference would amplify the O(h^2) noise of the
-    discrete det B by h^{-2}.
-
-    The steps aim at total variance CHI_SMOOTH_WIDTH^2, but dt sits at the
-    stability limit, which shrinks like h^2, and the rounds are capped at
-    CHI_HEAT_ROUNDS.  So the mollifier is not a fixed physical scale: on
-    the clipped horosphere graphs of make_mesh(3.0, .) the target needs
-    6,314, 70,479 and 914,917 rounds at 2,185, 7,681 and 30,721 vertices,
-    and the cap reaches 63 %, 5.7 % and 0.44 % of the target variance.
+    metric.  chi is mollified before differentiating, since the raw second
+    difference would amplify the O(h^2) noise of the discrete det B by
+    h^{-2}: one backward-Euler heat step (M + t K) chi' = M chi with
+    t = CHI_SMOOTH_WIDTH^2 / 2, whose variance CHI_SMOOTH_WIDTH^2 is the
+    same physical scale on every mesh.
     """
     mesh = sd.mesh
     detB = sd.detB
@@ -512,17 +496,12 @@ def chi_residual(sd: ShapeData):
     Ifield = np.where(np.isfinite(sd.I), sd.I, np.eye(2))
     K, mass = _metric_operator(mesh, Ifield)
 
-    diagK = np.asarray(K.diagonal())
-    dt = 0.5 / np.max(diagK / mass)
-    rounds = int(np.ceil(CHI_SMOOTH_WIDTH**2 / (2 * dt)))
-    rounds = min(max(rounds, 1), CHI_HEAT_ROUNDS)
-    # one explicit heat step, chi <- chi - dt K chi / mass, as one matrix
-    step = (sp.identity(mesh.n_vertices, format="csr")
-            - sp.diags(dt / mass) @ K).tocsr()
-    ok = chi_mask.astype(float)  # indicator diffused alongside chi tracks
-    for _ in range(rounds):      # contamination from masked/rim zeros
-        chi = step @ chi
-        ok = step @ ok
+    t = CHI_SMOOTH_WIDTH**2 / 2
+    heat = spla.splu((sp.diags(mass) + t * K).tocsc(),
+                     permc_spec="MMD_AT_PLUS_A")
+    # the indicator, mollified alongside chi, tracks contamination from
+    # masked/rim zeros
+    chi, ok = heat.solve(mass[:, None] * np.column_stack([chi, chi_mask])).T
 
     lap = -(K @ chi) / mass
     # report where the mollifier saw essentially no masked data

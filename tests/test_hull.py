@@ -77,7 +77,8 @@ class TestWidth:
         for _ in range(3):
             g = L.random_isometry(rng, 0.3)
             w1 = HU.width(HU.convex_hull(c.transform(g))).width
-            assert abs(w1 - w0) < 2e-3
+            # an isometry maps the sample hull onto the image samples' hull
+            assert abs(w1 - w0) < 1e-12
 
     def test_argmax_pair_is_timelike(self):
         w = HU.width(HU.convex_hull(step_curve(0.75)))
@@ -112,8 +113,8 @@ class TestWidth:
         (0.1, 0.0012344633743755914),
         (0.3, 0.054317206184626786),
         (0.5, 0.3671218067342039),
-        (0.7, 0.8311468374501078),
-        (0.9, 1.3073039407159233),
+        (0.7, 0.8311762944053616),
+        (0.9, 1.3074927522869304),
     ])
     def test_step_widths_are_pinned(self, kappa, value):
         w = HU.width(HU.convex_hull(step_curve(kappa)))

@@ -25,7 +25,7 @@ class TestSolveMaximal:
         assert np.all(S.u == 0.0)
         assert rep["final_sup_H"] < SMALL.tol_H
 
-    # draw 1 has uneven sample spacing; resampling would move it off its plane
+    # draw 1 has uneven sample spacing, which the hull takes as given
     @pytest.mark.parametrize("draw", [0, 1])
     def test_mobius_matches_plane(self, draw):
         m = L.random_mobius(np.random.default_rng(draw), 0.5)

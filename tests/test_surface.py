@@ -3,14 +3,8 @@ import pytest
 
 from adsmax import lorentz as L
 from adsmax import mesh as MM
+from adsmax import solver as SV
 from adsmax import surface as SF
-from adsmax.constants import (
-    BOUNDARY_MASK_RINGS,
-    CHI_HEAT_ROUNDS,
-    CHI_MASK_TOL,
-    CHI_SMOOTH_WIDTH,
-    CHI_VALID_FRAC,
-)
 
 RNG = np.random.default_rng(42)
 TILT = L.apply_isometry(L.random_isometry(RNG, 0.4), L.E4)
@@ -82,7 +76,7 @@ class TestMeanCurvature:
     def test_plane_zero(self):
         m = MM.make_mesh(2.0, 12, 36)
         S = SF.SpacelikeGraph.certify(m, np.zeros(m.n_vertices))
-        assert np.nanmax(np.abs(SF.mean_curvature(S))) < 1e-10
+        assert SV.residual_norms(m, S.u)[0] < 1e-10
         assert np.nanmax(np.abs(SF.mean_curvature_pointwise(S))) < 1e-10
 
     def test_umbilic_value(self):
@@ -223,41 +217,7 @@ class TestFitDerivatives:
             assert err <= 1e-10 * np.abs(ref[inner]).max()
 
 
-def loop_chi_residual(sd):
-    """chi_residual with the heat step written as two explicit updates."""
-    mesh = sd.mesh
-    detB = sd.detB
-    chi_mask = sd.mask & np.isfinite(detB) & (detB < -CHI_MASK_TOL)
-    chi = np.zeros(mesh.n_vertices)
-    chi[chi_mask] = np.log(-detB[chi_mask]) / 4.0
-    Ifield = np.where(np.isfinite(sd.I), sd.I, np.eye(2))
-    K, mass = SF._metric_operator(mesh, Ifield)
-    dt = 0.5 / np.max(np.asarray(K.diagonal()) / mass)
-    rounds = int(np.ceil(CHI_SMOOTH_WIDTH**2 / (2 * dt)))
-    rounds = min(max(rounds, 1), CHI_HEAT_ROUNDS)
-    ok = chi_mask.astype(float)
-    for _ in range(rounds):
-        chi = chi - dt * (K @ chi) / mass
-        ok = ok - dt * (K @ ok) / mass
-    lap = -(K @ chi) / mass
-    valid = (chi_mask & (ok > CHI_VALID_FRAC)
-             & mesh.deep_interior_mask(BOUNDARY_MASK_RINGS))
-    res = np.full(mesh.n_vertices, np.nan)
-    res[valid] = lap[valid] - (np.exp(4 * chi[valid]) - 1.0)
-    return res, valid
-
-
 class TestChiResidual:
-    def test_matches_explicit_loop(self):
-        m = MM.make_mesh(2.0, 16, 48)
-        sd = SF.shape_data(SF.horosphere_surface(m, rotation=0.7))
-        res, valid = SF.chi_residual(sd)
-        ref, ref_valid = loop_chi_residual(sd)
-        assert ref_valid.any()
-        assert np.array_equal(valid, ref_valid)
-        assert (np.abs(res[valid] - ref[valid]).max()
-                <= 1e-12 * np.abs(ref[valid]).max())
-
     def test_horosphere_near_zero(self):
         m = MM.make_mesh(2.0, 24, 72)
         S = SF.horosphere_surface(m)
@@ -266,14 +226,17 @@ class TestChiResidual:
         assert np.nanmedian(np.abs(res[sel])) < 0.05
 
     def test_horosphere_refinement_decreasing(self):
+        # the mollifier has one physical width on every mesh, so the
+        # residual keeps halving under refinement
         meds = []
-        for nr, na in [(16, 48), (32, 96)]:
+        for nr, na in [(16, 48), (32, 96), (64, 192)]:
             m = MM.make_mesh(2.0, nr, na)
             S = SF.horosphere_surface(m)
             res, valid = SF.chi_residual(SF.shape_data(S))
             sel = valid & fixed_interior(S.mesh, 0.6)
             meds.append(np.nanmedian(np.abs(res[sel])))
-        assert meds[1] < meds[0]
+        assert meds[1] <= meds[0] / 2
+        assert meds[2] <= meds[1] / 2
 
     def test_plane_masked_everywhere(self):
         m = MM.make_mesh(2.0, 12, 36)
