@@ -22,11 +22,7 @@ QS_MAX_LOG_SCALE = 3.0       # qs_modulus: largest |log| boost of the ladder
 
 # convex hull / width
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
-HULL_FACET_TOL = 1e-9        # convexity slack for vertex-in-facet checks
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
-REGULARITY_LEVEL = 2         # barycentric grid level of the past-hull samples in regularity_margin
-REGULARITY_REFINE = 64       # regularity_margin refines at most this many argmin candidates
-REGULARITY_CHART_DEPTH = 0.05  # regularity_margin drops hull samples with 1+z3^2-z1^2-z2^2 below this
 
 # meshes
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim

@@ -20,14 +20,8 @@ from scipy.spatial import QhullError
 
 from . import lorentz as L
 from .boundary import BoundaryCurve
-from .constants import (
-    HULL_FACET_TOL,
-    REGULARITY_CHART_DEPTH,
-    REGULARITY_LEVEL,
-    REGULARITY_REFINE,
-    VERTICAL_FACET_TOL,
-)
-from .mesh import DiskMesh, neighbor_average
+from .constants import VERTICAL_FACET_TOL
+from .mesh import DiskMesh
 
 
 @dataclass(frozen=True)
@@ -96,26 +90,6 @@ def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
         np.abs(nt) <= VERTICAL_FACET_TOL, 0, np.where(nt > 0, 1, -1)
     ).astype(np.int8)
     return ConvexHull3(curve, t0, z, False, q.equations, q.simplices, labels)
-
-
-def hull_is_convex(hull: ConvexHull3) -> bool:
-    if hull.planar:
-        return True
-    a = hull.equations[:, :3]
-    b = hull.equations[:, 3]
-    return bool((hull.points @ a.T + b).max() <= HULL_FACET_TOL)
-
-
-def _facet_samples(hull: ConvexHull3, label: int, level: int):
-    """Barycentric grid samples on facets with the given label."""
-    sel = np.where(hull.labels == label)[0]
-    tris = hull.points[hull.simplices[sel]]
-    bary = []
-    for i in range(level + 1):
-        for j in range(level + 1 - i):
-            bary.append((i, j, level - i - j))
-    bary = np.asarray(bary, dtype=float) / level
-    return np.einsum("bk,fkd->fbd", bary, tris).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -277,116 +251,3 @@ def dod_envelopes(curve: BoundaryCurve, mesh: DiskMesh):
     u_plus = (curve.tau[None, :] + arc).min(axis=1)
     u_minus = (curve.tau[None, :] - arc).max(axis=1)
     return u_minus, u_plus
-
-
-def _envelope_separation(curve: BoundaryCurve, y_disk, q_hull, t_hull):
-    """delta between the past-envelope point over y_disk and a hull point
-    (0 when not causally ordered)."""
-    y_disk = np.asarray(y_disk, dtype=float)
-    if (y_disk**2).sum() >= 1.0 - 1e-12:
-        return 0.0
-    h = L.poincare_to_hyperboloid(y_disk)
-    cth = (h[0] * np.cos(curve.theta) + h[1] * np.sin(curve.theta)) / h[2]
-    u_m = (curve.tau - np.arccos(np.clip(cth, -1, 1))).max()
-    if u_m >= t_hull:
-        return 0.0
-    x = L.cyl_to_quadric(y_disk, u_m)
-    c = -L.inner(x, q_hull)
-    if not -1.0 < c < 1.0:
-        return 0.0
-    return float(np.arccos(c))
-
-
-def regularity_margin(hull: ConvexHull3, curve: BoundaryCurve,
-                      mesh: DiskMesh) -> float:
-    """eps = min over past-hull samples y of max over past-envelope points
-    x in I^-(y) of delta(x, y); positive exactly when the hull stays away
-    from the past envelope (width < pi/2 regime).
-
-    Vertex sampling of the envelope underestimates the inner max (its
-    extremizers sit on cone ridges, e.g. the dual-point apex for totally
-    geodesic data), so the smallest outer candidates are refined by a local
-    pattern search over the disk with the closed-form envelope.  Hull
-    samples hugging the asymptotic boundary (chart depth below
-    REGULARITY_CHART_DEPTH) are excluded: every quantity degenerates together
-    there and the sampled statistic would collapse to zero for any curve.
-    """
-    u_minus, _ = dod_envelopes(curve, mesh)
-    Xenv = L.cyl_to_quadric(mesh.vertices, u_minus)
-    t_env = u_minus
-    if hull.planar:
-        # every point of a totally geodesic slab sees the past envelope at
-        # exactly pi/2 (the dual-point apex), so the min does not depend on
-        # the sample; a few representative samples suffice
-        idx = np.linspace(0, mesh.n_vertices - 1, 8).astype(int)
-        t_hull, _ = hull_heights(hull, mesh.vertices[idx])
-        Y = L.cyl_to_quadric(mesh.vertices[idx], t_hull)
-    else:
-        zp = _facet_samples(hull, -1, REGULARITY_LEVEL)
-        zp = zp[1.0 + zp[:, 2] ** 2 - zp[:, 0] ** 2 - zp[:, 1] ** 2
-                > REGULARITY_CHART_DEPTH]
-        if len(zp) == 0:
-            return 0.0
-        Y = L.projective_to_quadric(zp)
-        t_hull = np.arctan(zp[:, 2]) + hull.t_shift
-        Y = L.apply_isometry_null(L.time_translation(hull.t_shift), Y)
-        Y = L.normalize_quadric(Y)
-    c = -(Xenv * L.SIGNATURE) @ Y.T   # (env, hull)
-    ordered = (c > -1.0) & (c < 1.0) & (t_env[:, None] < t_hull[None, :])
-    sep = np.where(ordered, np.arccos(np.clip(c, -1 + 1e-15, 1 - 1e-15)), 0.0)
-    per_hull = sep.max(axis=0)
-    best_env = sep.argmax(axis=0)
-
-    # cone points of the envelope (candidate extremizers): largest positive
-    # jump of u_minus below its neighborhood average
-    sharp = neighbor_average(mesh, u_minus) - u_minus
-    apex_starts = np.argsort(sharp)[-4:]
-
-    def inner_max(j):
-        starts = [mesh.vertices[best_env[j]]]
-        starts += [mesh.vertices[a] for a in apex_starts]
-        # position of the hull sample itself: the envelope point straight
-        # below is always timelike-related, so the search can climb
-        yj, _ = L.quadric_to_cyl(Y[j])
-        starts.append(np.asarray(yj))
-        best = per_hull[j]
-        for y0 in starts:
-            best = max(best, _pattern_search(
-                lambda yd: _envelope_separation(curve, yd, Y[j], t_hull[j]),
-                y0,
-            ))
-        return best
-
-    # refine the running argmin until it is itself a refined value: the
-    # refinement only raises entries, so this terminates at the true min
-    refined = per_hull.copy()
-    done = np.zeros(len(per_hull), dtype=bool)
-    for _ in range(REGULARITY_REFINE):
-        j = int(np.argmin(refined))
-        if done[j]:
-            break
-        refined[j] = inner_max(j)
-        done[j] = True
-    return float(refined.min())
-
-
-def _pattern_search(f, y0, scale0=0.2, shrink=0.5, n_scales=14):
-    """Deterministic 8-direction pattern maximization over the disk."""
-    y = np.asarray(y0, dtype=float).copy()
-    best = f(y)
-    dirs = np.stack(
-        [np.array([np.cos(a), np.sin(a)])
-         for a in np.arange(8) * (np.pi / 4)]
-    )
-    s = scale0
-    for _ in range(n_scales):
-        moved = True
-        while moved:
-            moved = False
-            for d in dirs:
-                cand = y + s * d
-                val = f(cand)
-                if val > best + 1e-14:
-                    best, y, moved = val, cand, True
-        s *= shrink
-    return best

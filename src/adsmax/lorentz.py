@@ -86,7 +86,7 @@ def quadric_to_cyl(q, t_near=None):
     q = np.asarray(q, dtype=float)
     h3 = np.hypot(q[..., 2], q[..., 3])
     t = np.arctan2(q[..., 3], q[..., 2])
-    t = np.where(np.isclose(t, -np.pi), np.pi, t)
+    t = np.where(t == -np.pi, np.pi, t)
     if t_near is not None:
         k = np.round((np.asarray(t_near, dtype=float) - t) / (2 * np.pi))
         t = t + 2 * np.pi * k
@@ -149,22 +149,6 @@ class QuadricPoint:
         if abs(q + 1.0) > QUADRIC_RENORM_TOL:
             v = v / np.sqrt(-q)
         object.__setattr__(self, "v", v)
-
-
-def chart_to_quadric(p: CylPoint) -> QuadricPoint:
-    return QuadricPoint(cyl_to_quadric(p.y, p.t))
-
-
-def quadric_to_chart(q: QuadricPoint, t_near=None) -> CylPoint:
-    y, t = quadric_to_cyl(q.v, t_near=t_near)
-    return CylPoint(y, float(t))
-
-
-def projective_chart(p: CylPoint):
-    """pi* image of a chart point with |t| < pi/2."""
-    if abs(p.t) >= np.pi / 2:
-        raise ValueError("projective chart requires |t| < pi/2")
-    return quadric_to_projective(cyl_to_quadric(p.y, p.t))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +440,6 @@ def dual_plane(p: QuadricPoint) -> SpacelikePlane:
     if not isinstance(p, QuadricPoint):
         p = QuadricPoint(p)
     return SpacelikePlane(p)
-
-
-def dual_point(plane: SpacelikePlane) -> QuadricPoint:
-    return plane.dual
 
 
 REFERENCE_PLANE = SpacelikePlane(QuadricPoint(E4))

@@ -123,11 +123,9 @@ class DiskMesh:
         r2max = (p**2).sum(axis=-1).max(axis=1)       # outermost vertex of each cell
         slope_limit2 = 4.0 / (1 + r2max) ** 2
         w = phiq * lam2q  # (M,3) at midpoints opposite each vertex
-        mass = np.zeros(self.n_vertices)
-        for k in range(3):
-            # N_k vanishes at its opposite midpoint and is 1/2 at the other two
-            contrib = (w.sum(axis=1) - w[:, k]) * 0.5 * area / 3.0
-            np.add.at(mass, t[:, k], contrib)
+        # N_k vanishes at its opposite midpoint and is 1/2 at the other two
+        mass = corner_sum(
+            self, (w.sum(axis=1)[:, None] - w) * 0.5 * area[:, None] / 3.0)
         geom = dict(
             area=area, grads=grads, wq=wq, phiq=phiq, lam2q=lam2q,
             slope_limit2=slope_limit2, mass=mass,
@@ -253,6 +251,35 @@ def quality_report(mesh: DiskMesh) -> dict:
         "n_triangles": int(len(mesh.triangles)),
         "n_vertices": mesh.n_vertices,
     }
+
+
+def corner_sum(mesh: DiskMesh, vals):
+    """Per vertex, the sum of per-corner values vals (broadcast to (M, 3))
+    over the triangle corners at that vertex.  One bincount over the corners
+    taken column by column adds in the order of a per-column np.add.at loop,
+    so the sums are bitwise equal to it."""
+    t = mesh.triangles
+    w = np.broadcast_to(vals, t.shape)
+    return np.bincount(t.T.ravel(), weights=w.T.ravel(),
+                       minlength=mesh.n_vertices)
+
+
+def p1_matrix(mesh: DiskMesh, entry):
+    """Sparse P1 matrix with element entries entry(g_a, g_b) -> (M,), where
+    g_a, g_b are the (M, 2) basis gradients of corners a and b."""
+    t = mesh.triangles
+    grads = mesh.fem["grads"]
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(t[:, a])
+            cols.append(t[:, b])
+            vals.append(entry(grads[:, a], grads[:, b]))
+    n = mesh.n_vertices
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
 
 
 def vertex_neighbors(mesh: DiskMesh):

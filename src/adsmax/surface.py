@@ -44,7 +44,7 @@ from .constants import (
     MARGIN_FLOOR,
     SPACELIKE_MARGIN,
 )
-from .mesh import DiskMesh, vertex_neighbors
+from .mesh import DiskMesh, corner_sum, make_mesh, p1_matrix, vertex_neighbors
 
 def triangle_gradients(mesh: DiskMesh, u):
     g = mesh.fem
@@ -77,13 +77,10 @@ class SpacelikeGraph:
 def recovered_gradient(mesh: DiskMesh, u):
     """Area-weighted per-vertex gradient of a P1 function."""
     g = mesh.fem
-    gu = triangle_gradients(mesh, u)
-    acc = np.zeros((mesh.n_vertices, 2))
-    wsum = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(acc, mesh.triangles[:, k], gu * g["area"][:, None])
-        np.add.at(wsum, mesh.triangles[:, k], g["area"])
-    return acc / wsum[:, None]
+    gu = triangle_gradients(mesh, u) * g["area"][:, None]
+    acc = np.stack([corner_sum(mesh, gu[:, d, None]) for d in range(2)],
+                   axis=-1)
+    return acc / corner_sum(mesh, g["area"][:, None])[:, None]
 
 
 def residual(mesh: DiskMesh, u):
@@ -96,10 +93,7 @@ def residual(mesh: DiskMesh, u):
                                   1e-14))         # (M,3)
     coeff = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
     flux = coeff[:, None] * gu * g["area"][:, None]
-    F = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(F, mesh.triangles[:, k],
-                  (flux * g["grads"][:, k]).sum(axis=1))
+    F = corner_sum(mesh, (flux[:, None] * g["grads"]).sum(axis=-1))
     return F, margins
 
 
@@ -193,24 +187,10 @@ def tangent_stiffness(mesh: DiskMesh, u):
     vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], 1e-14))
     c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
     c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        ga = g["grads"][:, a]
-        for b in range(3):
-            gb = g["grads"][:, b]
-            val = g["area"] * (
-                c1 * (ga * gb).sum(axis=1)
-                + c2 * (gu * ga).sum(axis=1) * (gu * gb).sum(axis=1)
-            )
-            rows.append(mesh.triangles[:, a])
-            cols.append(mesh.triangles[:, b])
-            vals.append(val)
-    n = mesh.n_vertices
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return K.tocsr()
+    return p1_matrix(mesh, lambda ga, gb: g["area"] * (
+        c1 * (ga * gb).sum(axis=1)
+        + c2 * (gu * ga).sum(axis=1) * (gu * gb).sum(axis=1)
+    ))
 
 
 def graph_area(mesh: DiskMesh, u):
@@ -375,10 +355,9 @@ def metric_gauss_curvature(mesh: DiskMesh, metric):
     har = np.sqrt(np.maximum(
         s * (s - ls[:, 0]) * (s - ls[:, 1]) * (s - ls[:, 2]), 0.0))
     defect = np.full(mesh.n_vertices, 2 * np.pi)
-    area_share = np.zeros(mesh.n_vertices)
     for k in range(3):
         np.add.at(defect, t[:, k], -ang[:, k])
-        np.add.at(area_share, t[:, k], har / 3.0)
+    area_share = corner_sum(mesh, (har / 3.0)[:, None])
     K = defect / np.maximum(area_share, 1e-300)
     K[mesh.boundary_mask] = np.nan
     return K
@@ -451,29 +430,13 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
 
 def _metric_operator(mesh: DiskMesh, metric):
     """P1 stiffness and lumped mass of a per-vertex 2x2 metric field."""
-    t = mesh.triangles
     g = mesh.fem
-    M = np.asarray(metric)[t].mean(axis=1)
+    M = np.asarray(metric)[mesh.triangles].mean(axis=1)
     Minv = np.linalg.inv(M)
     sdet = np.sqrt(np.maximum(np.linalg.det(M), 1e-300))
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        ga = g["grads"][:, a]
-        for b in range(3):
-            gb = g["grads"][:, b]
-            vals.append(np.einsum("md,mde,me->m", ga, Minv, gb)
-                        * g["area"] * sdet)
-            rows.append(t[:, a])
-            cols.append(t[:, b])
-    n = mesh.n_vertices
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    mass = np.zeros(n)
-    for a in range(3):
-        np.add.at(mass, t[:, a], g["area"] * sdet / 3.0)
-    return K, mass
+    K = p1_matrix(mesh, lambda ga, gb: np.einsum("md,mde,me->m", ga, Minv, gb)
+                  * g["area"] * sdet)
+    return K, corner_sum(mesh, (g["area"] * sdet / 3.0)[:, None])
 
 
 def chi_residual(sd: ShapeData):
@@ -557,8 +520,6 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
     (radius reduced until the graph certificate holds).  rotation moves the
     surface by an isometry that keeps the closed form a graph.
     """
-    from .mesh import make_mesh
-
     rot = np.array(
         [[np.cos(-rotation), -np.sin(-rotation)],
          [np.sin(-rotation), np.cos(-rotation)]]

@@ -34,7 +34,8 @@ class TestConvexHull:
 
     def test_convexity_certificate(self):
         h = HU.convex_hull(step_curve(0.5))
-        assert HU.hull_is_convex(h)
+        a, b = h.equations[:, :3], h.equations[:, 3]
+        assert (h.points @ a.T + b).max() <= 1e-9
 
     def test_vertices_inside_chart_region(self):
         h = HU.convex_hull(step_curve(0.7))
@@ -135,9 +136,13 @@ class TestWidth:
         h = HU.convex_hull(B.lift_graph(f, 48))
         w = HU.width(h).width_raw
 
+        level = 20
+        bary = np.array([(i, j, level - i - j) for i in range(level + 1)
+                         for j in range(level + 1 - i)], dtype=float) / level
+
         def grid(label):
-            z = HU._facet_samples(h, label, 20)
-            z = z.reshape((h.labels == label).sum(), -1, 3)
+            tris = h.points[h.simplices[h.labels == label]]
+            z = np.einsum("bk,fkd->fbd", bary, tris)
             depth = 1 + z[..., 2] ** 2 - z[..., 0] ** 2 - z[..., 1] ** 2
             return z, depth > 1e-6
 
@@ -204,13 +209,9 @@ class TestEnvelopes:
         assert sep.max() == pytest.approx(np.pi, abs=0.02)
         assert fine.rho[i] < 2.0 and fine.rho[j] < 2.0
 
-    def test_envelopes_weakly_spacelike(self):
+    def test_envelopes_are_ordered(self):
         c = step_curve(0.5)
         um, up = HU.dod_envelopes(c, MESH)
-        for u in (um, up):
-            g = np.linalg.norm(
-                np.stack(np.gradient(u[:2]), axis=0), axis=0
-            )  # crude smoke check only on ordering below
         assert np.all(um <= up)
 
     def test_hull_sandwich(self):
@@ -270,33 +271,3 @@ class TestEnvelopes:
         assert dev < 1e-9
         assert np.abs(hi - lo).max() < 1e-9
 
-
-class TestRegularityMargin:
-    def test_mobius_is_pi_half(self):
-        m = L.random_mobius(np.random.default_rng(1), 0.4)
-        c = B.lift_graph(B.mobius_boundary(m), 256)
-        eps = HU.regularity_margin(HU.convex_hull(c), c, MESH)
-        assert eps == pytest.approx(np.pi / 2, abs=1e-3)
-
-    def test_decreasing_to_zero_along_family(self):
-        eps = [
-            HU.regularity_margin(HU.convex_hull(step_curve(k)), step_curve(k),
-                                 MESH)
-            for k in (0.5, 0.9, 0.99)
-        ]
-        assert eps[0] > eps[1] > eps[2]
-        assert eps[2] < 0.05
-
-    def test_bounded_by_pi_half(self):
-        for k in (0.0, 0.5):
-            c = step_curve(k) if k else B.lift_graph(B.CircleHomeo.identity(), 128)
-            eps = HU.regularity_margin(HU.convex_hull(c), c, MESH)
-            assert eps <= np.pi / 2 + 1e-9
-
-    def test_tracks_width_complement(self):
-        c = step_curve(0.9)
-        h = HU.convex_hull(c)
-        eps = HU.regularity_margin(h, c, MESH)
-        w = HU.width(h).width
-        assert eps <= np.pi / 2 - w + 0.05
-        assert eps > 0

@@ -57,12 +57,12 @@ class TestInner:
 
 class TestChart:
     def test_basepoint(self):
-        q = L.chart_to_quadric(L.CylPoint(np.zeros(2), 0.0))
-        assert np.allclose(q.v, [0, 0, 1, 0])
+        q = L.cyl_to_quadric(np.zeros(2), 0.0)
+        assert np.allclose(q, [0, 0, 1, 0])
 
     def test_full_period(self):
-        q = L.chart_to_quadric(L.CylPoint(np.zeros(2), 2 * np.pi))
-        assert np.allclose(q.v, [0, 0, 1, 0], atol=1e-12)
+        q = L.cyl_to_quadric(np.zeros(2), 2 * np.pi)
+        assert np.allclose(q, [0, 0, 1, 0], atol=1e-12)
 
     def test_lift_on_quadric(self):
         y = np.array([0.3, 0.4])  # |y| = 0.5
@@ -76,16 +76,22 @@ class TestChart:
             if (y**2).sum() >= 0.9:
                 continue
             t = rng.uniform(-np.pi + 1e-6, np.pi)
-            p = L.CylPoint(y, t)
-            p2 = L.quadric_to_chart(L.chart_to_quadric(p))
-            assert np.allclose(p2.y, p.y, atol=1e-12)
-            assert p2.t == pytest.approx(t, abs=1e-12)
+            y2, t2 = L.quadric_to_cyl(L.cyl_to_quadric(y, t))
+            assert np.allclose(y2, y, atol=1e-12)
+            assert t2 == pytest.approx(t, abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-5, 3e-5])
+    def test_roundtrip_just_above_minus_pi(self, gap):
+        # the principal value lies in (-pi, pi]: only t = -pi itself wraps
+        t = -np.pi + gap
+        y2, t2 = L.quadric_to_cyl(L.cyl_to_quadric(np.array([0.1, 0.2]), t))
+        assert t2 == pytest.approx(t, abs=1e-12)
 
     def test_winding_hint(self):
-        p = L.CylPoint(np.array([0.2, 0.0]), 2 * np.pi + 0.3)
-        q = L.chart_to_quadric(p)
-        p2 = L.quadric_to_chart(q, t_near=2 * np.pi)
-        assert p2.t == pytest.approx(p.t, abs=1e-12)
+        t = 2 * np.pi + 0.3
+        q = L.cyl_to_quadric(np.array([0.2, 0.0]), t)
+        _, t2 = L.quadric_to_cyl(q, t_near=2 * np.pi)
+        assert t2 == pytest.approx(t, abs=1e-12)
 
     def test_x3x4_always_at_least_one(self):
         rng = np.random.default_rng(12)
@@ -211,12 +217,12 @@ class TestDuality:
         # plane is {x3 = 0}: sampled points have zero third coordinate
         pts = L.plane_points(plane, np.linspace(0, 1.5, 5), np.linspace(0, 6, 5))
         assert np.abs(pts[..., 2]).max() < 1e-12
-        assert np.allclose(L.dual_point(plane).v, [0, 0, 1, 0])
+        assert np.allclose(plane.q, [0, 0, 1, 0])
 
     def test_involution(self):
         rng = np.random.default_rng(15)
         p = L.QuadricPoint(random_quadric_point(rng))
-        assert np.allclose(L.dual_point(L.dual_plane(p)).v, p.v)
+        assert np.allclose(L.dual_plane(p).q, p.v)
 
     def test_sampled_separation_pi_half(self):
         rng = np.random.default_rng(16)
@@ -312,12 +318,14 @@ class TestIsometries:
 
 class TestProjectiveChart:
     def test_basepoint(self):
-        z = L.projective_chart(L.CylPoint(np.zeros(2), 0.0))
+        z = L.quadric_to_projective(L.cyl_to_quadric(np.zeros(2), 0.0))
         assert np.allclose(z, 0.0)
 
     def test_rejects_outside(self):
+        # x3 = cos t is 6e-17 at t = pi/2 itself, so step past it
         with pytest.raises(ValueError):
-            L.projective_chart(L.CylPoint(np.zeros(2), np.pi / 2))
+            L.quadric_to_projective(
+                L.cyl_to_quadric(np.zeros(2), np.pi / 2 + 0.1))
 
     def test_geodesics_to_lines(self):
         rng = np.random.default_rng(25)

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from adsmax import mesh as MM
 from adsmax import surface as SF
@@ -166,3 +167,40 @@ class TestMeshCache:
         assert np.array_equal(m.neighbor_count, cnt)
         with pytest.raises(ValueError):
             m.neighbor_count[0] = 0
+
+
+class TestP1Scatter:
+    def test_corner_sum_matches_add_at(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        vals = np.random.default_rng(4).normal(size=m.triangles.shape)
+        ref = np.zeros(m.n_vertices)
+        for k in range(3):
+            np.add.at(ref, m.triangles[:, k], vals[:, k])
+        got = MM.corner_sum(m, vals)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_tangent_stiffness_matches_coo_loop(self):
+        m = MM.make_mesh(1.5, 8, 24)
+        u = SF.umbilic_surface(m, 0.4).u
+        g = m.fem
+        gu = SF.triangle_gradients(m, u)
+        vq = 1.0 / np.sqrt(np.maximum(
+            1.0 - g["wq"] ** 2 * (gu**2).sum(axis=1)[:, None], 1e-14))
+        c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
+        c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
+        rows, cols, vals = [], [], []
+        for a in range(3):
+            ga = g["grads"][:, a]
+            for b in range(3):
+                gb = g["grads"][:, b]
+                vals.append(g["area"] * (
+                    c1 * (ga * gb).sum(axis=1)
+                    + c2 * (gu * ga).sum(axis=1) * (gu * gb).sum(axis=1)))
+                rows.append(m.triangles[:, a])
+                cols.append(m.triangles[:, b])
+        ref = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(m.n_vertices, m.n_vertices)).tocsr()
+        K = SF.tangent_stiffness(m, u)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
