@@ -23,6 +23,8 @@ QS_MAX_LOG_SCALE = 3.0       # qs_modulus: largest |log| boost of the ladder
 # convex hull / width
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
+WIDTH_WIDEN = 16             # width tests this many times more least-cos edge pairs per round until one is causal
+HEIGHT_BLOCK_ROWS = 32       # hull_heights' elementwise pass runs on this many disk points at a time (~260 KB at 1,000 facets)
 
 # meshes
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim

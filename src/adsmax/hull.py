@@ -20,7 +20,7 @@ from scipy.spatial import QhullError
 
 from . import lorentz as L
 from .boundary import BoundaryCurve
-from .constants import VERTICAL_FACET_TOL
+from .constants import HEIGHT_BLOCK_ROWS, VERTICAL_FACET_TOL, WIDTH_WIDEN
 from .mesh import DiskMesh
 
 
@@ -53,8 +53,9 @@ class ConvexHull3:
             m2 /= np.linalg.norm(hull2.equations[:, :2], axis=1)
             return m2.min(axis=1) - off
         a = self.equations[:, :3]
-        b = self.equations[:, 3]
-        m = -(z @ a.T + b) / np.linalg.norm(a, axis=1)
+        m = z @ a.T
+        m += self.equations[:, 3]
+        m /= -np.linalg.norm(a, axis=1)
         return m.min(axis=1)
 
 
@@ -132,6 +133,11 @@ def width(hull: ConvexHull3) -> WidthReport:
     least such value over the edge pairs whose minimisers are timelike and in
     causal order (chart time is a time function).  A pair sharing a sample
     has a vanishing coefficient and its separation tends to 0; it is skipped.
+
+    The least value is nearly always causal, so its pairs are tested first,
+    then the WIDTH_WIDEN-fold least values with all their ties, and so on:
+    the least causal value found is the least overall, and ties go to the
+    first pair in row-major order, as in one pass over all pairs.
     """
     zero = np.zeros(4)
     empty = WidthReport(0.0, 0.0, zero, zero)
@@ -150,21 +156,35 @@ def width(hull: ConvexHull3) -> WidthReport:
     A, B = Q[p1] @ P[p2].T, Q[p1] @ P[q2].T
     C, D = Q[q1] @ P[p2].T, Q[q1] @ P[q2].T
     keep = (A > 0) & (B > 0) & (C > 0) & (D > 0)
-    for X in (A, B, C, D):  # >= 0 on achronal data, up to round-off
-        np.maximum(X, 0.0, out=X)
-    cos = (np.sqrt(A * D) + np.sqrt(B * C)) / np.sqrt(np.outer(g1, g2))
-    i, j = np.nonzero(keep & (cos < 1.0))
-    cos = cos[i, j]
-    lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B, C, D))
-    s = 0.25 * (lC + lD - lA - lB)
-    r = 0.25 * (lB + lD - lA - lC)
-    t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
-    t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
-    ok = np.flatnonzero(t_future > t_past)
-    if len(ok) == 0:
+    cos, bc = A * D, B * C  # (E1, E2), in place from here on
+    with np.errstate(invalid="ignore"):  # NaN only where keep fails
+        np.sqrt(cos, out=cos)
+        cos += np.sqrt(bc, out=bc)
+    cos /= np.sqrt(np.multiply.outer(g1, g2, out=bc), out=bc)
+    keep &= cos < 1.0
+    cos[~keep] = np.inf
+    cos = cos.ravel()
+    n_keep = np.count_nonzero(keep)
+    if n_keep == 0:
         return empty
-    k = ok[np.argmin(cos[ok])]
-    raw = float(np.arccos(cos[k]))
+    n = 1
+    while True:
+        least = cos.min() if n == 1 else np.partition(cos, n - 1)[n - 1]
+        cand = np.flatnonzero(cos <= least)
+        i, j = np.divmod(cand, len(p2))
+        lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B, C, D))
+        s = 0.25 * (lC + lD - lA - lB)
+        r = 0.25 * (lB + lD - lA - lC)
+        t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
+        t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
+        ok = np.flatnonzero(t_future > t_past)
+        if len(ok):
+            break
+        if n == n_keep:
+            return empty
+        n = min(WIDTH_WIDEN * n, n_keep)
+    k = ok[np.argmin(cos[cand[ok]])]
+    raw = float(np.arccos(cos[cand[k]]))
 
     def point(p, q, s):  # back from the recentered frame
         x = L.projective_to_quadric(_edge_point(z, p, q, s))
@@ -216,7 +236,15 @@ def hull_heights(hull: ConvexHull3, y):
     (k sec t, tan t) with k the Klein coordinates, so a facet a.z + b <= 0
     becomes c + R sin(t + phi) <= 0 with c = a12.k, R = hypot(a3, b) and
     phi = atan2(b, a3).  Where s = -c/R < 1, the up-crossing root
-    asin(s) - phi bounds t from above and pi - asin(s) - phi from below.
+    asin(s) - phi bounds t from above and pi - asin(s) - phi from below,
+    wrapped into [-pi, pi); roots with |t| >= pi/2 do not bind.
+
+    The wrap needs no float modulo.  With asin(s) in [-pi/2, pi/2] and phi
+    in [-pi, pi], an up root + pi lies in [-pi/2, 5pi/2]: outside [0, 2pi)
+    both (root + pi) - pi and its wrap have |t| >= pi/2.  A down root + pi
+    lies in [pi/2, 7pi/2], and where it is >= 2pi, subtracting 2pi is exact
+    (Sterbenz), so it is the remainder.  Elementwise work runs on blocks of
+    HEIGHT_BLOCK_ROWS points, which stay in cache.
     """
     h = L.poincare_to_hyperboloid(y)
     k = h[:, :2] / h[:, 2:3]  # Klein coordinates
@@ -226,15 +254,21 @@ def hull_heights(hull: ConvexHull3, y):
         p = np.linalg.svd(A, full_matrices=False)[2][-1]
         eq = np.stack([p, -p])
     phi = np.arctan2(eq[:, 3], eq[:, 2])
-    s = -(k @ eq[:, :2].T) / np.hypot(eq[:, 2], eq[:, 3])  # (N,F)
-    asn = np.arcsin(np.clip(s, -1.0, 1.0))
-
-    def bound(roots, edge):
-        roots = (roots + np.pi) % (2 * np.pi) - np.pi
-        return np.where((s < 1.0) & (np.abs(roots) < np.pi / 2), roots, edge)
-
-    t_hi = bound(asn - phi, np.pi / 2).min(axis=1)
-    t_lo = bound(np.pi - asn - phi, -np.pi / 2).max(axis=1)
+    neg_r = -np.hypot(eq[:, 2], eq[:, 3])
+    c = k @ eq[:, :2].T  # (N,F); one product, as BLAS bits depend on the rows
+    t_lo, t_hi = np.empty(len(k)), np.empty(len(k))
+    for blk in range(0, len(k), HEIGHT_BLOCK_ROWS):
+        s = c[blk:blk + HEIGHT_BLOCK_ROWS] / neg_r
+        miss = s >= 1.0
+        asn = np.arcsin(np.clip(s, -1.0, 1.0, out=s), out=s)
+        up = asn - phi + np.pi
+        down = np.pi - asn - phi + np.pi
+        down[down >= 2 * np.pi] -= 2 * np.pi
+        for t, edge, out, pick in ((up, np.pi / 2, t_hi, np.min),
+                                   (down, -np.pi / 2, t_lo, np.max)):
+            t -= np.pi
+            t[miss | (np.abs(t) >= np.pi / 2)] = edge
+            pick(t, axis=1, out=out[blk:blk + HEIGHT_BLOCK_ROWS])
     return t_lo + hull.t_shift, t_hi + hull.t_shift
 
 

@@ -79,7 +79,7 @@ class SolveConfig:
 def slope_limit(mesh: MS.DiskMesh, u):
     """Pull interior values toward neighborhood averages until every
     triangle has spacelike margin >= SPACELIKE_MARGIN; boundary values stay
-    fixed."""
+    fixed.  Stops early at a round that changes no value."""
     u = np.asarray(u, dtype=float).copy()
     interior = mesh.interior_mask
     for _ in range(SLOPE_LIMIT_ROUNDS):
@@ -93,7 +93,10 @@ def slope_limit(mesh: MS.DiskMesh, u):
         if not touch.any():
             break  # only boundary-pinned cells violate: cannot fix here
         avg = MS.neighbor_average(mesh, u)
-        u[touch] = 0.5 * (u[touch] + avg[touch])
+        new = 0.5 * (u[touch] + avg[touch])
+        if np.array_equal(new, u[touch]):
+            break  # a fixed point: every later round would repeat this one
+        u[touch] = new
     margins = SF.triangle_margins(mesh, u)
     if margins.min() < 0.0:
         raise SolveRejected(

@@ -528,8 +528,9 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
     for _ in range(40):
         y = mesh.vertices @ rot.T if rotation != 0.0 else mesh.vertices
         u = horosphere_height(y)
-        if triangle_margins(mesh, u).min() > 0.0:
-            return SpacelikeGraph(mesh, u, float(triangle_margins(mesh, u).min()))
+        margin = float(triangle_margins(mesh, u).min())
+        if margin > 0.0:
+            return SpacelikeGraph(mesh, u, margin)
         radius *= 0.95
         mesh = make_mesh(radius, mesh.n_rings, mesh.n_angular)
     raise ValueError("could not certify a clipped horosphere graph")

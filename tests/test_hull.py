@@ -15,6 +15,76 @@ def step_curve(kappa, n=512):
     return B.lift_graph(B.step_family(kappa), n)
 
 
+def steep_image(seed, n=512):
+    """step 0.8 moved by a random isometry: past and future facets meet at
+    steep angles, where shortcuts on the facet labels go wrong."""
+    g = L.random_isometry(np.random.default_rng(seed), 0.3)
+    return step_curve(0.8, n).transform(g)
+
+
+def heights_with_modulo(hull, y):
+    """Reference for `hull_heights`: both roots wrapped with a float modulo,
+    on the whole (N, F) array at once."""
+    h = L.poincare_to_hyperboloid(y)
+    k = h[:, :2] / h[:, 2:3]
+    eq = hull.equations
+    if hull.planar:
+        A = np.column_stack([hull.points, np.ones(len(hull.points))])
+        p = np.linalg.svd(A, full_matrices=False)[2][-1]
+        eq = np.stack([p, -p])
+    phi = np.arctan2(eq[:, 3], eq[:, 2])
+    s = -(k @ eq[:, :2].T) / np.hypot(eq[:, 2], eq[:, 3])
+    asn = np.arcsin(np.clip(s, -1.0, 1.0))
+
+    def bound(roots, edge):
+        roots = (roots + np.pi) % (2 * np.pi) - np.pi
+        return np.where((s < 1.0) & (np.abs(roots) < np.pi / 2), roots, edge)
+
+    t_hi = bound(asn - phi, np.pi / 2).min(axis=1)
+    t_lo = bound(np.pi - asn - phi, -np.pi / 2).max(axis=1)
+    return t_lo + hull.t_shift, t_hi + hull.t_shift
+
+
+def width_all_pairs(hull):
+    """Reference for `width`: every edge pair's value and causal test at
+    once, then the least causal value, first in row-major order."""
+    z = hull.points
+    P = np.column_stack([z[:, 0], z[:, 1], np.ones(len(z)), z[:, 2]])
+    Q = -P * L.SIGNATURE
+    (p1, q1), (p2, q2) = HU._edges(hull, -1), HU._edges(hull, 1)
+    g1 = (Q[p1] * P[q1]).sum(axis=1)
+    g2 = (Q[p2] * P[q2]).sum(axis=1)
+    p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
+    p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
+    A, B_, C = Q[p1] @ P[p2].T, Q[p1] @ P[q2].T, Q[q1] @ P[p2].T
+    D = Q[q1] @ P[q2].T
+    keep = (A > 0) & (B_ > 0) & (C > 0) & (D > 0)
+    for X in (A, B_, C, D):
+        np.maximum(X, 0.0, out=X)
+    cos = (np.sqrt(A * D) + np.sqrt(B_ * C)) / np.sqrt(np.outer(g1, g2))
+    i, j = np.nonzero(keep & (cos < 1.0))
+    cos = cos[i, j]
+    lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B_, C, D))
+    s = 0.25 * (lC + lD - lA - lB)
+    r = 0.25 * (lB + lD - lA - lC)
+    t_past = HU._edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
+    t_future = HU._edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
+    ok = np.flatnonzero(t_future > t_past)
+    k = ok[np.argmin(cos[ok])]
+
+    def point(p, q, s):
+        x = L.projective_to_quadric(HU._edge_point(z, p, q, s))
+        return L.apply_isometry(L.time_translation(hull.t_shift), x)
+
+    return (float(np.arccos(cos[k])), point(p1[i[k]], q1[i[k]], s[k]),
+            point(p2[j[k]], q2[j[k]], r[k]))
+
+
+def same_bits(*pairs):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in pairs)
+
+
 class TestConvexHull:
     def test_identity_planar_width_zero(self):
         h = HU.convex_hull(B.lift_graph(B.CircleHomeo.identity(), 128))
@@ -72,14 +142,17 @@ class TestWidth:
         assert w2.width >= w1.width - 1e-6  # refinement-monotone
 
     def test_isometry_invariance(self):
-        rng = np.random.default_rng(11)
-        c = step_curve(0.6)
-        w0 = HU.width(HU.convex_hull(c)).width
-        for _ in range(3):
-            g = L.random_isometry(rng, 0.3)
-            w1 = HU.width(HU.convex_hull(c.transform(g))).width
-            # an isometry maps the sample hull onto the image samples' hull
-            assert abs(w1 - w0) < 1e-12
+        # step 0.8 under the first draw of seed 8 loses its sup when edges
+        # shared by past and future facets are left out
+        for kappa, seed, draws in ((0.6, 11, 3), (0.8, 8, 1)):
+            rng = np.random.default_rng(seed)
+            c = step_curve(kappa)
+            w0 = HU.width(HU.convex_hull(c)).width
+            for _ in range(draws):
+                g = L.random_isometry(rng, 0.3)
+                w1 = HU.width(HU.convex_hull(c.transform(g))).width
+                # an isometry maps the sample hull onto the image samples' hull
+                assert abs(w1 - w0) < 1e-12
 
     def test_argmax_pair_is_timelike(self):
         w = HU.width(HU.convex_hull(step_curve(0.75)))
@@ -120,6 +193,32 @@ class TestWidth:
     def test_step_widths_are_pinned(self, kappa, value):
         w = HU.width(HU.convex_hull(step_curve(kappa)))
         assert w.width_raw == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("curve", [
+        step_curve(0.3), step_curve(0.9),
+        B.lift_graph(B.bump_family(0.6), 512), B.two_step_curve(512),
+        steep_image(1012),
+    ], ids=["step_0.3", "step_0.9", "bump_0.6", "two_step", "step_0.8_image"])
+    def test_least_first_matches_all_pairs(self, curve):
+        h = HU.convex_hull(curve)
+        w = HU.width(h)
+        raw, past, future = width_all_pairs(h)
+        assert same_bits((w.width_raw, raw), (w.argmax_past, past),
+                         (w.argmax_future, future))
+
+    def test_widened_search_finds_a_later_causal_pair(self):
+        # past and future labels swapped on the facets over x < 0: the least
+        # value then belongs to a pair running from future to past, and the
+        # width comes from a pair found after widening the candidates
+        h = HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128))
+        over = h.points[h.simplices].mean(axis=1)[:, 0] < 0
+        mixed = dataclasses.replace(
+            h, labels=np.where(over, -h.labels, h.labels).astype(np.int8))
+        w = HU.width(mixed)
+        assert 0.1 < w.width_raw < HU.width(h).width_raw - 1e-4
+        raw, past, future = width_all_pairs(mixed)
+        assert same_bits((w.width_raw, raw), (w.argmax_past, past),
+                         (w.argmax_future, future))
 
     def test_swapped_boundaries_have_no_ordered_pair(self):
         # every timelike edge pair then runs from future to past
@@ -186,6 +285,12 @@ class TestContains:
             HU.contains(h, L.CylPoint(np.zeros(2), np.pi / 2 + 0.2))
 
 
+def slab_hull():
+    eq = np.array([[0.0, 0, 1, -0.5], [0, 0, -1, -0.5], [-1, 0, 0, 0.1]])
+    c = B.lift_graph(B.step_family(0.5), 64)
+    return HU.ConvexHull3(c, 0.0, np.zeros((4, 3)), False, eq, None, None)
+
+
 class TestEnvelopes:
     def test_identity_center_heights(self):
         c = B.lift_graph(B.CircleHomeo.identity(), 256)
@@ -223,11 +328,15 @@ class TestEnvelopes:
         assert np.all(lo <= hi + 1e-12)
         assert np.all(hi <= up + 1e-8)
 
-    @pytest.mark.parametrize("f", [B.bump_family(0.3), B.step_family(0.5)],
-                             ids=["bump_0.3", "step_0.5"])
-    def test_heights_are_exact_hull_boundaries(self, f):
-        # thin hulls: a sampled search collapses these intervals to a point
-        h = HU.convex_hull(B.lift_graph(f, 256))
+    @pytest.mark.parametrize("curve", [
+        B.lift_graph(B.bump_family(0.3), 256), step_curve(0.5, 256),
+        steep_image(1012, 256),
+    ], ids=["bump_0.3", "step_0.5", "step_0.8_image"])
+    def test_heights_are_exact_hull_boundaries(self, curve):
+        # thin hulls: a sampled search collapses these intervals to a point;
+        # on the steep image, t_hi bounded by future-labelled facets alone
+        # leaves the hull
+        h = HU.convex_hull(curve)
         mesh = MM.make_mesh(2.2, 20, 64)
         lo, hi = HU.hull_heights(h, mesh.vertices)
         assert np.all(lo < hi)
@@ -247,15 +356,25 @@ class TestEnvelopes:
     def test_facet_missing_the_line_does_not_bind(self):
         # slab |z3| <= 1/2 cut by z1 >= 1/10: over Klein points with
         # k1 >= 1/10 the cut never meets the vertical line (k sec t, tan t)
-        eq = np.array([[0.0, 0, 1, -0.5], [0, 0, -1, -0.5], [-1, 0, 0, 0.1]])
-        c = B.lift_graph(B.step_family(0.5), 64)
-        h = HU.ConvexHull3(c, 0.0, np.zeros((4, 3)), False, eq, None, None)
+        h = slab_hull()
         lo, hi = HU.hull_heights(h, MESH.vertices)
         h3 = L.poincare_to_hyperboloid(MESH.vertices)
         far = h3[:, 0] / h3[:, 2] >= 0.1
         assert far.sum() > 50
         assert np.allclose(hi[far], np.arctan(0.5), atol=1e-14)
         assert np.allclose(lo[far], -np.arctan(0.5), atol=1e-14)
+
+    @pytest.mark.parametrize("hull", [
+        HU.convex_hull(steep_image(1012)),
+        HU.convex_hull(B.lift_graph(B.bump_family(0.3), 512)),
+        HU.convex_hull(B.lift_graph(B.mobius_boundary(
+            L.random_mobius(np.random.default_rng(1), 0.4)), 256)),
+        slab_hull(),
+    ], ids=["step_0.8_image", "bump_0.3", "mobius", "slab"])
+    def test_heights_match_the_modulo_form(self, hull):
+        mesh = MM.make_mesh(2.2, 20, 64)
+        got = HU.hull_heights(hull, mesh.vertices)
+        assert same_bits(*zip(got, heights_with_modulo(hull, mesh.vertices)))
 
     def test_planar_heights_match_plane(self):
         m = L.random_mobius(np.random.default_rng(1), 0.4)
