@@ -32,34 +32,21 @@ TWO_PI = 2 * np.pi
 
 
 def cross_ratio(a, b, c, d):
-    """cr(a,b;c,d) = ((a-c)(b-d))/((b-c)(a-d)) on RP^1, inf handled by limits."""
-    vals = [a, b, c, d]
-    if sum(np.isinf(v) for v in vals) > 1:
-        raise ValueError("at most one argument may be infinite")
-    if np.isinf(d):
-        num, den = (a - c), (b - c)
-    elif np.isinf(c):
-        num, den = (b - d), (a - d)
-    elif np.isinf(b):
-        num, den = (a - c), (a - d)
-    elif np.isinf(a):
-        num, den = (b - d), (b - c)
-    else:
-        num = (a - c) * (b - d)
-        den = (b - c) * (a - d)
-    if den == 0 and num == 0:
+    """cr(a,b;c,d) = ((x_a-x_c)(x_b-x_d))/((x_b-x_c)(x_a-x_d)) of the RP^1
+    points x = cot(beta/2) with doubled angles a, b, c, d; broadcasts.
+
+    x_i - x_j = sin((b_j - b_i)/2) / (sin(b_i/2) sin(b_j/2)), and the sine
+    factors cancel, so the angle form needs no special case at x = inf.
+    inf where only the denominator vanishes; ValueError where both do.
+    Points coincide when their angles are equal as given, so pass angles
+    reduced mod 2pi.
+    """
+    num = np.sin((c - a) / 2) * np.sin((d - b) / 2)
+    den = np.sin((c - b) / 2) * np.sin((d - a) / 2)
+    if np.any((den == 0) & (num == 0)):
         raise ValueError("undefined coincidence pattern")
-    if den == 0:
-        return np.inf
-    return num / den
-
-
-def angle_to_rp1(beta):
-    """Affine RP^1 coordinate of a doubled angle: cot(beta/2), inf at beta=0."""
-    beta = np.asarray(beta, dtype=float)
-    s = np.sin(beta / 2)
     with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, np.inf, np.cos(beta / 2) / np.where(s == 0, 1, s))
+        out = np.where(den == 0, np.inf, num / den)
     return out if out.ndim else float(out)
 
 
@@ -97,8 +84,8 @@ class CircleHomeo:
         object.__setattr__(self, "_interp", PchipInterpolator(xx, yy))
 
     @staticmethod
-    def identity(n_knots: int = 16) -> "CircleHomeo":
-        x = np.linspace(0, TWO_PI, n_knots, endpoint=False)
+    def identity() -> "CircleHomeo":
+        x = np.linspace(0, TWO_PI, 16, endpoint=False)
         return CircleHomeo(x, x.copy(), exact_lift=lambda v: np.asarray(v, float))
 
     @staticmethod
@@ -126,13 +113,13 @@ class CircleHomeo:
         return bool(np.abs(self.knots_y - self.knots_x).max() < tol)
 
 
-def mobius_boundary(m: L.MobiusMap, n_knots: int = 256) -> CircleHomeo:
+def mobius_boundary(m: L.MobiusMap) -> CircleHomeo:
     """The circle map induced by a Mobius transformation on doubled angles."""
-    x = np.linspace(0, TWO_PI, n_knots, endpoint=False)
+    x = np.linspace(0, TWO_PI, 256, endpoint=False)
     return CircleHomeo(x, m.apply_angle_lift(x), exact_lift=m.apply_angle_lift)
 
 
-def step_family(kappa: float, n_knots: int = 256) -> CircleHomeo:
+def step_family(kappa: float) -> CircleHomeo:
     """Deformation from the identity (kappa=0) to the standard 2-step graph.
 
     F(x) = x + kappa * sum_k c_k(a) sin(2kx)/k with c_k = I_k(a)/I_0(a),
@@ -143,7 +130,7 @@ def step_family(kappa: float, n_knots: int = 256) -> CircleHomeo:
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must be in [0, 1)")
     if kappa == 0.0:
-        return CircleHomeo.identity(n_knots)
+        return CircleHomeo.identity()
     a = 2.0 * (kappa / (1.0 - kappa)) ** 2
     k_max = max(8, int(np.sqrt(a) * 12) + 8)
     k = np.arange(1, k_max + 1)
@@ -157,15 +144,15 @@ def step_family(kappa: float, n_knots: int = 256) -> CircleHomeo:
             coeff / k * np.sin(2 * np.multiply.outer(x, k))
         ).sum(axis=-1)
 
-    x = np.linspace(0, TWO_PI, n_knots, endpoint=False)
+    x = np.linspace(0, TWO_PI, 256, endpoint=False)
     return CircleHomeo(x, F(x), exact_lift=F)
 
 
-def bump_family(amplitude: float, n_knots: int = 128) -> CircleHomeo:
+def bump_family(amplitude: float) -> CircleHomeo:
     """F(x) = x + A sin x, a smooth monotone bump for |A| < 1."""
     if not abs(amplitude) < 1.0:
         raise ValueError("|amplitude| must be < 1")
-    x = np.linspace(0, TWO_PI, n_knots, endpoint=False)
+    x = np.linspace(0, TWO_PI, 128, endpoint=False)
     return CircleHomeo(
         x,
         x + amplitude * np.sin(x),
@@ -265,7 +252,7 @@ class BoundaryCurve:
 
     def transform(self, g: L.Isometry3) -> "BoundaryCurve":
         """Image curve under an isometry, resorted by theta."""
-        v = L.apply_isometry_null(g, self.quadric)
+        v = L.apply_isometry(g, self.quadric)
         th = np.arctan2(v[:, 1], v[:, 0])
         ta = np.arctan2(v[:, 3], v[:, 2])
         # re-anchor tau continuously along the curve (samples stay achronal)
@@ -331,21 +318,21 @@ def qs_modulus(f: CircleHomeo) -> float:
     symmetrized log-distortion max(d, 1/d), d = log cr(f(quad)) / log 2.
 
     The quadruples are Mobius transports of (-1, 0, 1, inf): QS_ANGLES
-    rotations of QS_SCALES boosts on a symmetric log ladder.  Equals 1 for
-    the identity and any Mobius map; finite sampling gives a lower bound of
-    the true modulus.
+    rotations of QS_SCALES boosts on a symmetric log ladder.  The boost
+    diag(e^{s/2}, e^{-s/2}) sends the doubled angle beta to
+    2 atan2(e^{-s/2} sin(beta/2), e^{s/2} cos(beta/2)), and the rotation by a
+    adds 2a.  Equals 1 for the identity and any Mobius map; finite sampling
+    gives a lower bound of the true modulus.
     """
-    worst = 1.0
-    for s in np.linspace(-QS_MAX_LOG_SCALE, QS_MAX_LOG_SCALE, QS_SCALES):
-        boost = L.MobiusMap(np.diag([np.exp(s / 2), np.exp(-s / 2)]))
-        for a in np.linspace(0, np.pi, QS_ANGLES, endpoint=False):
-            quad = L.MobiusMap.rotation(a).compose(boost).apply_angle(
-                BASE_QUADRUPLE_ANGLES)
-            cr = cross_ratio(*[angle_to_rp1(b) for b in f(quad)])
-            if not np.isfinite(cr) or cr <= 0:
-                return np.inf
-            d = abs(np.log(cr) / np.log(2.0))
-            if d == 0.0:
-                return np.inf
-            worst = max(worst, d, 1.0 / d)
-    return float(worst)
+    s = np.linspace(-QS_MAX_LOG_SCALE, QS_MAX_LOG_SCALE, QS_SCALES)[:, None, None]
+    a = np.linspace(0, np.pi, QS_ANGLES, endpoint=False)[:, None]
+    half = BASE_QUADRUPLE_ANGLES / 2
+    quad = np.mod(2 * np.arctan2(np.exp(-s / 2) * np.sin(half),
+                                 np.exp(s / 2) * np.cos(half)) + 2 * a, TWO_PI)
+    cr = cross_ratio(*np.moveaxis(f(quad), -1, 0))
+    if not np.all(np.isfinite(cr) & (cr > 0)):
+        return np.inf
+    d = np.abs(np.log(cr) / np.log(2.0))
+    if np.any(d == 0.0):
+        return np.inf
+    return float(max(1.0, d.max(), (1.0 / d).max()))

@@ -1,13 +1,12 @@
 """Central tolerance table.
 
-All exact-identity checks in the geometry kernel use EXACT_TOL; renormalization
-of quadric points is tighter.  Solver and mesh tolerances live here too so that
-no module hard-codes its own numbers.
+Tolerances, floors and sample counts of the geometry kernel, the boundary
+curves, the hull, the mesh, the discrete surfaces and the solvers live here,
+so that modules do not hard-code their own numbers.  Every name here is read
+by some module.
 """
 
 # geometry kernel
-QUADRIC_RENORM_TOL = 1e-12   # |<v,v>+1| after renormalization
-EXACT_TOL = 1e-10            # closed-form identities (isometry, duality, geodesics)
 CAUSAL_CLASS_TOL = 1e-8      # deciding timelike/null/spacelike of a normalized vector
 ORTHO_TOL = 1e-8             # <p,v>=0 precondition of the geodesic exponential
 SEPARATION_CLASS_TOL = 1e-9  # slack of -<p,q> against +-1 in lorentz_separation
@@ -36,6 +35,8 @@ BOUNDARY_MASK_RINGS = 2      # curvature diagnostics masked this close to the ri
 CHI_MASK_TOL = 1e-8          # |det B| below this -> chi is masked (flat spot)
 CHI_SMOOTH_WIDTH = 0.25      # width (sqrt of variance) of the heat mollifier in chi_residual
 CHI_VALID_FRAC = 0.98        # chi_residual keeps vertices whose diffused indicator exceeds this
+CONE_FLOOR = 1e-14           # floor on 1 - w^2 |grad u|^2 before the gradient function v = 1/sqrt(.) is taken
+GRADIENT_CAP = 0.999999      # vertex_gradient clamps w |du| to this fraction of the light cone
 
 # solvers
 MEAN_CURV_TOL = 1e-6         # terminal max-norm of H ("tol_H")

@@ -198,31 +198,10 @@ def width(hull: ConvexHull3) -> WidthReport:
     )
 
 
-def contains(hull: ConvexHull3, point):
-    """(inside, margin) for a quadric/CylPoint/array point; the margin is the
-    minimal signed facet distance in chart coordinates."""
-    if isinstance(point, L.CylPoint):
-        q = L.cyl_to_quadric(point.y, point.t)
-    elif isinstance(point, L.QuadricPoint):
-        q = point.v
-    else:
-        q = np.asarray(point, dtype=float)
-    q = np.atleast_2d(q)
-    g = L.time_translation(-hull.t_shift)
-    q = L.apply_isometry_null(g, q)
-    if np.any(q[:, 2] <= 0):
-        raise ValueError("point outside the projective chart (|t| >= pi/2)")
-    z = L.quadric_to_projective(q)
-    m = hull.facet_margins(z)
-    inside = m >= 0
-    if m.shape == (1,):
-        return bool(inside[0]), float(m[0])
-    return inside, m
-
-
-def graph_margins(hull: ConvexHull3, mesh: DiskMesh, u):
-    """Facet margins of every vertex of a graph, vectorized."""
-    q = L.cyl_to_quadric(mesh.vertices, np.asarray(u, float) - hull.t_shift)
+def graph_margins(hull: ConvexHull3, y, t):
+    """Facet margins of the points (y, t) over the disk points y, shape
+    (N, 2), at times t (original time frame), vectorized."""
+    q = L.cyl_to_quadric(y, np.asarray(t, float) - hull.t_shift)
     z = L.quadric_to_projective(q)
     return hull.facet_margins(z)
 

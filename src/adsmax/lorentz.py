@@ -26,18 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import (
-    CAUSAL_CLASS_TOL,
-    EXACT_TOL,
-    ORTHO_TOL,
-    QUADRIC_RENORM_TOL,
-    SEPARATION_CLASS_TOL,
-)
+from .constants import CAUSAL_CLASS_TOL, ORTHO_TOL, SEPARATION_CLASS_TOL
 
 SIGNATURE = np.array([1.0, 1.0, -1.0, -1.0])
 
-# reference plane: the horizontal slice t=0, i.e. the plane dual to e4
-E3 = np.array([0.0, 0.0, 1.0, 0.0])
+# dual point of the reference plane, the horizontal slice t=0
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
 
@@ -118,40 +111,6 @@ def projective_to_quadric(z):
 
 
 # ---------------------------------------------------------------------------
-# value types
-
-@dataclass(frozen=True)
-class CylPoint:
-    """Universal-cover point: Poincare coordinates y, |y| < 1, and time t."""
-
-    y: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(2)
-        if (y * y).sum() >= 1.0:
-            raise ValueError("|y| must be < 1")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "t", float(self.t))
-
-
-@dataclass(frozen=True)
-class QuadricPoint:
-    """Point of the quadric; renormalized to <v,v> = -1 on construction."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(4)
-        q = inner(v, v)
-        if q >= 0:
-            raise ValueError("not a timelike vector")
-        if abs(q + 1.0) > QUADRIC_RENORM_TOL:
-            v = v / np.sqrt(-q)
-        object.__setattr__(self, "v", v)
-
-
-# ---------------------------------------------------------------------------
 # geodesics and separation
 
 def geodesic_exp(p, v, s):
@@ -161,7 +120,7 @@ def geodesic_exp(p, v, s):
     <v,v> in {-1, 0, +1}; the causal class picks the cos/affine/cosh branch.
     s may be an array.
     """
-    p = p.v if isinstance(p, QuadricPoint) else np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if abs(inner(p, v)) > ORTHO_TOL:
         raise ValueError("v is not orthogonal to p")
@@ -183,27 +142,20 @@ def geodesic_exp(p, v, s):
 def parallel_along_timelike(p, v, s):
     """Parallel transport of the unit timelike v along its own geodesic:
     v(s) = -sin(s) p + cos(s) v, closed form for the cos branch."""
-    p = p.v if isinstance(p, QuadricPoint) else np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     return -np.sin(s) * p + np.cos(s) * v
-
-
-def separation_cos(x, y):
-    """-<x,y> for quadric points; cos of the timelike distance when in (-1,1),
-    cosh of the spacelike distance when > 1."""
-    return -inner(x, y)
 
 
 def lorentz_separation(p, q):
     """Causal class and separation of two quadric points inside one period.
 
     Returns ("timelike", d in (0, pi)), ("lightlike", 0.0) or
-    ("spacelike", arccosh(-<p,q>)).  Raises if -<p,q> < -1 (beyond one period)
-    or p = +-q.
+    ("spacelike", arccosh(-<p,q>)): -<p,q> is the cos of the timelike and the
+    cosh of the spacelike distance.  Raises if -<p,q> < -1 (beyond one
+    period) or p = +-q.
     """
-    pv = p.v if isinstance(p, QuadricPoint) else np.asarray(p, dtype=float)
-    qv = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
-    c = float(separation_cos(pv, qv))
+    c = float(-inner(p, q))
     if c < -1.0 - SEPARATION_CLASS_TOL:
         raise ValueError("separation exceeds one period (work inside U_p)")
     if c >= 1.0 + SEPARATION_CLASS_TOL:
@@ -320,26 +272,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(adj2(self.m))
 
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(self.m @ other.m)
-
-    def apply_rp1(self, x):
-        """Projective action on the affine coordinate of RP^1 (inf allowed)."""
-        a, b = self.m[0]
-        c, d = self.m[1]
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                np.isinf(x),
-                np.divide(a, c) if c != 0 else np.inf,
-                (a * x + b) / (c * x + d),
-            )
-            den = c * x + d
-            out = np.where(
-                ~np.isinf(x) & (den == 0.0), np.inf, out
-            )
-        return out if out.ndim else float(out)
-
     def apply_angle(self, beta):
         """Action on the doubled-angle coordinate of RP^1, valued in [0, 2pi)."""
         beta = np.asarray(beta, dtype=float)
@@ -356,12 +288,6 @@ class MobiusMap:
         lifted = np.mod(raw - base, 2 * np.pi) + base
         return lifted + 2 * np.pi * np.floor(beta / (2 * np.pi))
 
-    def is_identity(self, tol=EXACT_TOL) -> bool:
-        return bool(
-            np.allclose(self.m, np.eye(2), atol=tol)
-            or np.allclose(self.m, -np.eye(2), atol=tol)
-        )
-
 
 @dataclass(frozen=True)
 class Isometry3:
@@ -374,27 +300,11 @@ class Isometry3:
     left: MobiusMap = field(default_factory=MobiusMap.identity)
     right: MobiusMap = field(default_factory=MobiusMap.identity)
 
-    def inverse(self) -> "Isometry3":
-        return Isometry3(self.left.inverse(), self.right.inverse())
 
-    def compose(self, other: "Isometry3") -> "Isometry3":
-        return Isometry3(
-            self.left.compose(other.left), self.right.compose(other.right)
-        )
-
-
-def apply_isometry(g: Isometry3, p):
-    """Apply the isometry to quadric point(s); preserves <.,.> exactly."""
-    wrap = isinstance(p, QuadricPoint)
-    x = p.v if wrap else np.asarray(p, dtype=float)
-    m = to_matrix(x)
-    out = from_matrix(g.left.m @ m @ g.right.m.T)
-    return QuadricPoint(out) if wrap else out
-
-
-def apply_isometry_null(g: Isometry3, v):
-    """Same action on null vectors (no quadric renormalization)."""
-    return from_matrix(g.left.m @ to_matrix(np.asarray(v, float)) @ g.right.m.T)
+def apply_isometry(g: Isometry3, x):
+    """Apply the isometry to vectors (...,4), quadric points or null; the
+    action is linear and preserves <.,.> exactly."""
+    return from_matrix(g.left.m @ to_matrix(x) @ g.right.m.T)
 
 
 def time_translation(a: float) -> Isometry3:
@@ -419,35 +329,12 @@ def random_isometry(rng, scale=1.0) -> Isometry3:
 
 
 # ---------------------------------------------------------------------------
-# planes and duality
-
-@dataclass(frozen=True)
-class SpacelikePlane:
-    """Totally geodesic spacelike plane dual^perp cap AdS.
-
-    The dual point doubles as the future unit normal at every point of the
-    plane; the plane with dual -q is the same set with reversed time side.
-    """
-
-    dual: QuadricPoint
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.dual.v
-
-
-def dual_plane(p: QuadricPoint) -> SpacelikePlane:
-    if not isinstance(p, QuadricPoint):
-        p = QuadricPoint(p)
-    return SpacelikePlane(p)
-
-
-REFERENCE_PLANE = SpacelikePlane(QuadricPoint(E4))
-
+# planes and duality: a spacelike plane q^perp cap AdS is given by its dual
+# point q, which is also the future unit normal at every point of the plane
 
 def plane_orthobasis(q):
     """Orthonormal basis (e_a, e_b spacelike, e_t timelike) of q^perp."""
-    q = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     row = (SIGNATURE * q).reshape(1, 4)
     _, _, vt = np.linalg.svd(row)
     basis = vt[1:]  # 3 independent vectors spanning q^perp
@@ -461,17 +348,17 @@ def plane_orthobasis(q):
     return e_a, e_b, e_t
 
 
-def plane_points(plane: SpacelikePlane, rho, psi, component=1):
-    """Points cosh(rho) (+-e_t) + sinh(rho)(cos psi e_a + sin psi e_b)."""
-    e_a, e_b, e_t = plane_orthobasis(plane.q)
+def plane_points(q, rho, psi):
+    """Points cosh(rho) e_t + sinh(rho)(cos psi e_a + sin psi e_b) of the
+    plane dual to q."""
+    e_a, e_b, e_t = plane_orthobasis(q)
     rho = np.asarray(rho, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    pts = (
-        np.cosh(rho)[..., None] * (component * e_t)
+    return (
+        np.cosh(rho)[..., None] * e_t
         + np.sinh(rho)[..., None]
         * (np.cos(psi)[..., None] * e_a + np.sin(psi)[..., None] * e_b)
     )
-    return pts
 
 
 def plane_graph_height(q, y, branch=-1):
@@ -480,7 +367,7 @@ def plane_graph_height(q, y, branch=-1):
     branch -1 gives the past lift through t = alpha - arccos(...), +1 the
     future one; the reference plane (q = e4) has past lift t = 0.
     """
-    q = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     h = poincare_to_hyperboloid(y)
     R = np.hypot(q[2], q[3])
     alpha = np.arctan2(q[3], q[2])
@@ -490,7 +377,7 @@ def plane_graph_height(q, y, branch=-1):
 
 def plane_boundary_tau(q, theta, branch=-1):
     """Boundary trace tau(theta) of the same lift."""
-    q = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     theta = np.asarray(theta, dtype=float)
     R = np.hypot(q[2], q[3])
     alpha = np.arctan2(q[3], q[2])
@@ -500,30 +387,31 @@ def plane_boundary_tau(q, theta, branch=-1):
 
 def plane_gradient_function(q, y):
     """Closed-form gradient function v = -<nu, T> of a plane graph (past lift)."""
-    q = q.v if isinstance(q, QuadricPoint) else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     t = plane_graph_height(q, y, branch=-1)
     return q[3] * np.cos(t) - q[2] * np.sin(t)
 
 
-def plane_mobius(plane: SpacelikePlane) -> MobiusMap:
-    """m_P whose graph {(xi, m_P xi)} is the boundary circle of the plane.
+def plane_mobius(q):
+    """m_P whose graph {(xi, m_P xi)} is the boundary circle of the plane dual
+    to q, for dual points (...,4); returns (...,2,2).
 
     In the matrix model m_P = J adj(M_q) up to sign, J the quarter rotation;
-    already unimodular since det M_q = -<q,q> = 1.
+    the sign makes the trace positive.  Already unimodular, since
+    det M_q = -<q,q> = 1.
     """
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    m = J @ adj2(to_matrix(plane.q))
-    if np.trace(m) < 0:
-        m = -m
-    if np.linalg.det(m) <= 0:
+    m = J @ adj2(to_matrix(q))
+    m = np.where((np.trace(m, axis1=-2, axis2=-1) < 0)[..., None, None], -m, m)
+    if np.any(np.linalg.det(m) <= 0):
         raise ValueError("degenerate (non-spacelike) plane")
-    return MobiusMap(m)
+    return m
 
 
-def leftright_to_P0(plane: SpacelikePlane):
-    """The two isometries fixing one ruling family and sending the plane to
-    the reference plane: Phi_l = (id, m_P^{-1}), Phi_r = (m_P, id)."""
-    m = plane_mobius(plane)
+def leftright_to_P0(q):
+    """The two isometries fixing one ruling family and sending the plane dual
+    to q to the reference plane: Phi_l = (id, m_P^{-1}), Phi_r = (m_P, id)."""
+    m = MobiusMap(plane_mobius(q))
     return (
         Isometry3(MobiusMap.identity(), m.inverse()),
         Isometry3(m, MobiusMap.identity()),

@@ -372,7 +372,7 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         u, info = newton_solve(mesh, u0, cfg)
         report["stages"].append({
             "radius": radius, "n_vertices": mesh.n_vertices,
-            "hull_margin": float(HU.graph_margins(chull, mesh, u).min()),
+            "hull_margin": float(HU.graph_margins(chull, mesh.vertices, u).min()),
             **info,
         })
         if prev_mesh is not None:

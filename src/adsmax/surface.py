@@ -41,6 +41,8 @@ from .constants import (
     CHI_MASK_TOL,
     CHI_SMOOTH_WIDTH,
     CHI_VALID_FRAC,
+    CONE_FLOOR,
+    GRADIENT_CAP,
     MARGIN_FLOOR,
     SPACELIKE_MARGIN,
 )
@@ -90,7 +92,7 @@ def residual(mesh: DiskMesh, u):
     gu = triangle_gradients(mesh, u)
     margins = 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
     vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
-                                  1e-14))         # (M,3)
+                                  CONE_FLOOR))    # (M,3)
     coeff = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
     flux = coeff[:, None] * gu * g["area"][:, None]
     F = corner_sum(mesh, (flux[:, None] * g["grads"]).sum(axis=-1))
@@ -106,7 +108,8 @@ _FIT_EXP = np.array([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
 def fit_derivatives(mesh: DiskMesh, u):
     """Per-vertex (du1, du2, u11, u12, u22) from a weighted cubic fit over
     the 2-ring stencil; second derivatives are O(h^2)-consistent at interior
-    vertices.
+    vertices.  Rim vertices, whose one-sided stencils are ill-conditioned,
+    are not fitted and read NaN.
 
     Offsets x to the 2-ring are scaled by the mean stencil length and
     weighted by w = 1/(1+|x|^2).  The normal equations of the fit are
@@ -116,15 +119,18 @@ def fit_derivatives(mesh: DiskMesh, u):
     the pairs.
     """
     u = np.asarray(u, dtype=float)
-    n = mesh.n_vertices
+    inner = mesh.deep_interior_mask(0)
+    n = np.count_nonzero(inner)
     pairs = mesh.two_ring_pairs
-    i, k = pairs[:, 0], pairs[:, 1]
-    d = mesh.vertices[k] - mesh.vertices[i]
+    keep = inner[pairs[:, 0]]
+    i = (np.cumsum(inner) - 1)[pairs[keep, 0]]  # row among the interior vertices
+    k = pairs[keep, 1]
+    x = mesh.vertices[k] - mesh.vertices[inner][i]  # offsets, scaled in place
     cnt = np.bincount(i, minlength=n)
-    scale = np.bincount(i, np.linalg.norm(d, axis=1), minlength=n)
+    scale = np.bincount(i, np.linalg.norm(x, axis=1), minlength=n)
     scale = scale / np.maximum(cnt, 1.0)
-    x = d / scale[i, None]
-    du = u[k] - u[i]
+    x /= scale[i, None]
+    du = u[k] - u[inner][i]
     w = 1.0 / (1.0 + (x**2).sum(axis=1))
     top = 2 * _FIT_EXP.max()  # highest power of x1 or of x2 in ATA
     wx1 = [w]                 # w x1^p
@@ -143,12 +149,12 @@ def fit_derivatives(mesh: DiskMesh, u):
     ATA += 1e-12 * np.eye(len(_FIT_EXP))
     c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
     s = scale
-    return {
-        "du": np.stack([c[:, 0] / s, c[:, 1] / s], axis=-1),
-        "hess": np.stack(
-            [2 * c[:, 2] / s**2, c[:, 3] / s**2, 2 * c[:, 4] / s**2], axis=-1
-        ),  # (u11, u12, u22)
-    }
+    du = np.full((mesh.n_vertices, 2), np.nan)
+    hess = np.full((mesh.n_vertices, 3), np.nan)  # (u11, u12, u22)
+    du[inner] = np.stack([c[:, 0] / s, c[:, 1] / s], axis=-1)
+    hess[inner] = np.stack(
+        [2 * c[:, 2] / s**2, c[:, 3] / s**2, 2 * c[:, 4] / s**2], axis=-1)
+    return {"du": du, "hess": hess}
 
 
 def mean_curvature_pointwise(S: SpacelikeGraph):
@@ -167,7 +173,7 @@ def mean_curvature_pointwise(S: SpacelikeGraph):
     du = fit["du"]
     u11, u12, u22 = fit["hess"].T
     s = (du**2).sum(axis=1)
-    v = 1.0 / np.sqrt(np.maximum(1.0 - wt**2 * s, 1e-14))
+    v = 1.0 / np.sqrt(np.maximum(1.0 - wt**2 * s, CONE_FLOOR))
     Hu_du = np.stack([u11 * du[:, 0] + u12 * du[:, 1],
                       u12 * du[:, 0] + u22 * du[:, 1]], axis=-1)
     grad_v = v[:, None] ** 3 * (wt[:, None] * dwt * s[:, None]
@@ -184,7 +190,7 @@ def tangent_stiffness(mesh: DiskMesh, u):
     g = mesh.fem
     gu = triangle_gradients(mesh, u)
     gu2 = (gu**2).sum(axis=1)
-    vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], 1e-14))
+    vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], CONE_FLOOR))
     c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
     c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
     return p1_matrix(mesh, lambda ga, gb: g["area"] * (
@@ -231,8 +237,8 @@ def chart_frame(y, t):
 
 
 def vertex_gradient(S: SpacelikeGraph):
-    """Per-vertex gradient of u (cubic-fit; falls back to the P1 average on
-    the rim where the one-sided fit is unreliable)."""
+    """Per-vertex gradient of u (cubic-fit; the P1 average on the rim, which
+    the fit leaves out)."""
     du = fit_derivatives(S.mesh, S.u)["du"]
     rim = ~S.mesh.deep_interior_mask(0)
     if rim.any():
@@ -241,7 +247,7 @@ def vertex_gradient(S: SpacelikeGraph):
     # clamp into the spacelike cone (fit overshoot near steep rims)
     w = (1 + (S.mesh.vertices**2).sum(axis=1)) / 2
     norm = np.sqrt((du**2).sum(axis=1))
-    cap = 0.999999 / w
+    cap = GRADIENT_CAP / w
     over = norm > cap
     if over.any():
         du[over] *= (cap[over] / norm[over])[:, None]
@@ -483,7 +489,7 @@ def chi_residual(sd: ShapeData):
 
 def plane_surface(mesh: DiskMesh, q=None, branch=-1) -> SpacelikeGraph:
     """Graph of (a lift of) the totally geodesic plane dual to q."""
-    q = L.E4 if q is None else (q.v if isinstance(q, L.QuadricPoint) else q)
+    q = L.E4 if q is None else q
     u = L.plane_graph_height(q, mesh.vertices, branch=branch)
     return SpacelikeGraph.certify(mesh, u)
 

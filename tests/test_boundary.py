@@ -5,27 +5,39 @@ from adsmax import boundary as B
 from adsmax import lorentz as L
 
 
+def rp1(x):
+    """Doubled angle of the affine RP^1 coordinate x = cot(beta/2)."""
+    return 2 * np.arctan2(1.0, np.asarray(x, dtype=float))
+
+
 class TestCrossRatio:
     def test_paper_value_two(self):
-        assert B.cross_ratio(-3, -1, 1, np.inf) == pytest.approx(2.0, abs=1e-15)
+        assert B.cross_ratio(*rp1([-3, -1, 1, np.inf])) == pytest.approx(
+            2.0, abs=1e-15)
 
     def test_paper_value_one(self):
-        assert B.cross_ratio(0, 0, 1, 1) == pytest.approx(1.0, abs=1e-15)
+        assert B.cross_ratio(*rp1([0, 0, 1, 1])) == pytest.approx(1.0, abs=1e-15)
 
     def test_mobius_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             m = L.random_mobius(rng)
-            a, b, c, d = rng.standard_normal(4) * 3
-            cr1 = B.cross_ratio(a, b, c, d)
-            cr2 = B.cross_ratio(
-                m.apply_rp1(a), m.apply_rp1(b), m.apply_rp1(c), m.apply_rp1(d)
-            )
+            quad = rp1(rng.standard_normal(4) * 3)
+            cr1 = B.cross_ratio(*quad)
+            cr2 = B.cross_ratio(*m.apply_angle(quad))
             assert cr2 == pytest.approx(cr1, rel=1e-10, abs=1e-10)
+
+    def test_matches_affine_formula(self):
+        # one broadcast call over 200 quadruples of finite RP^1 coordinates
+        a, b, c, d = np.random.default_rng(5).standard_normal((4, 200)) * 3
+        ref = ((a - c) * (b - d)) / ((b - c) * (a - d))
+        got = B.cross_ratio(*rp1([a, b, c, d]))
+        assert got.shape == (200,)
+        assert np.allclose(got, ref, rtol=1e-9, atol=0)
 
     def test_three_coincident_raises(self):
         with pytest.raises(ValueError):
-            B.cross_ratio(1, 1, 1, 2)
+            B.cross_ratio(*rp1([1, 1, 1, 2]))
 
 
 class TestCircleHomeo:
@@ -100,6 +112,17 @@ class TestQsModulus:
         mods = [B.qs_modulus(B.step_family(k)) for k in (0.0, 0.25, 0.5, 0.75, 0.9)]
         assert all(m2 >= m1 - 1e-9 for m1, m2 in zip(mods, mods[1:]))
         assert mods[-1] > mods[1] > 1.0
+
+    @pytest.mark.parametrize("kappa,value", [
+        (0.3, 1.1736040491973145),
+        (0.5, 3.2801421787383136),
+        (0.7, 14.464249865291977),
+        (0.8, 48.54831282817119),
+        (0.9, 232.53607821615302),
+    ])
+    def test_step_family_values_are_pinned(self, kappa, value):
+        assert B.qs_modulus(B.step_family(kappa)) == pytest.approx(
+            value, rel=1e-13, abs=0)
 
     def test_composition_with_mobius_stable(self):
         # pre/post-composing with Mobius maps moves the sampled modulus only

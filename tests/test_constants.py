@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 from adsmax import constants as C
 
 SRC = Path(C.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def test_every_constant_is_read():
@@ -12,3 +14,33 @@ def test_every_constant_is_read():
                      if p.name != "constants.py")
     unused = [n for n in names if not re.search(rf"\b{n}\b", code)]
     assert names and not unused
+
+
+def test_every_public_name_is_read():
+    # top-level functions, classes and constants of the package, against
+    # every name loaded, attribute read or import in the library, the tests
+    # and the benchmark
+    defined = {}
+    for p in SRC.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for n in names:
+                if not n.startswith("_"):
+                    defined[n] = p.name
+    read = set()
+    for d in ("src", "tests", "adsbench"):
+        for p in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(p.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(a.name for a in node.names)
+    unused = sorted(f"{m}:{n}" for n, m in defined.items() if n not in read)
+    assert defined and not unused

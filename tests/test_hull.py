@@ -167,7 +167,8 @@ class TestWidth:
         assert abs(h.t_shift) > 0.05
         w = HU.width(h)
         for q in (w.argmax_past, w.argmax_future):
-            assert abs(HU.contains(h, q)[1]) < 1e-12
+            y, t = L.quadric_to_cyl(q)
+            assert abs(HU.graph_margins(h, y[None], [t])[0]) < 1e-12
 
     def test_every_route_is_needed(self):
         # lower bounds from the sampled routes the closed-form edge pass
@@ -261,28 +262,23 @@ class TestWidth:
 
 class TestContains:
     def test_hull_vertex_margin_zero(self):
+        # a hull vertex is an ideal point, with no (y, t) over the disk
         h = HU.convex_hull(step_curve(0.5))
-        z = h.points[0]
-        q = L.projective_to_quadric(z)
-        q = L.apply_isometry_null(L.time_translation(h.t_shift), q)
-        inside, margin = HU.contains(h, L.normalize_quadric(q))
-        assert abs(margin) < 1e-7
+        assert abs(h.facet_margins(h.points[:1])[0]) < 1e-7
 
     def test_center_of_mass_inside(self):
         h = HU.convex_hull(step_curve(0.5))
         tbar = h.curve.tau.mean()
-        inside, margin = HU.contains(h, L.CylPoint(np.zeros(2), tbar))
-        assert inside and margin > 0
+        assert HU.graph_margins(h, np.zeros((1, 2)), [tbar])[0] > 0
 
     def test_far_future_outside(self):
         h = HU.convex_hull(step_curve(0.5))
-        inside, margin = HU.contains(h, L.CylPoint(np.zeros(2), 1.5))
-        assert not inside and margin < 0
+        assert HU.graph_margins(h, np.zeros((1, 2)), [1.5])[0] < 0
 
     def test_point_outside_chart_rejected(self):
         h = HU.convex_hull(step_curve(0.5))
         with pytest.raises(ValueError):
-            HU.contains(h, L.CylPoint(np.zeros(2), np.pi / 2 + 0.2))
+            HU.graph_margins(h, np.zeros((1, 2)), [np.pi / 2 + 0.2])
 
 
 def slab_hull():
@@ -341,8 +337,8 @@ class TestEnvelopes:
         lo, hi = HU.hull_heights(h, mesh.vertices)
         assert np.all(lo < hi)
         for t in (lo, hi):
-            assert np.abs(HU.graph_margins(h, mesh, t)).max() < 1e-12
-        assert HU.graph_margins(h, mesh, 0.5 * (lo + hi)).min() > 0
+            assert np.abs(HU.graph_margins(h, mesh.vertices, t)).max() < 1e-12
+        assert HU.graph_margins(h, mesh.vertices, 0.5 * (lo + hi)).min() > 0
 
     def test_subset_rows_match_full_mesh(self):
         h = HU.convex_hull(step_curve(0.5, 256))

@@ -213,22 +213,16 @@ class TestSeparation:
 
 class TestDuality:
     def test_reference_dual(self):
-        plane = L.dual_plane(L.QuadricPoint([0, 0, 1, 0]))
-        # plane is {x3 = 0}: sampled points have zero third coordinate
-        pts = L.plane_points(plane, np.linspace(0, 1.5, 5), np.linspace(0, 6, 5))
+        # the plane dual to e3 is {x3 = 0}: sampled points have zero third
+        # coordinate
+        pts = L.plane_points(np.array([0.0, 0, 1, 0]), np.linspace(0, 1.5, 5),
+                             np.linspace(0, 6, 5))
         assert np.abs(pts[..., 2]).max() < 1e-12
-        assert np.allclose(plane.q, [0, 0, 1, 0])
-
-    def test_involution(self):
-        rng = np.random.default_rng(15)
-        p = L.QuadricPoint(random_quadric_point(rng))
-        assert np.allclose(L.dual_plane(p).q, p.v)
 
     def test_sampled_separation_pi_half(self):
         rng = np.random.default_rng(16)
         p = random_quadric_point(rng)
-        plane = L.dual_plane(L.QuadricPoint(p))
-        pts = L.plane_points(plane, rng.uniform(0, 2, 25), rng.uniform(0, 7, 25))
+        pts = L.plane_points(p, rng.uniform(0, 2, 25), rng.uniform(0, 7, 25))
         for z in pts:
             kind, val = L.lorentz_separation(p, z)
             assert kind == "timelike"
@@ -271,7 +265,7 @@ class TestMatrixModel:
         ta = np.array([0.1, 0.9])
         # same xi requires th - ta equal:
         th = ta + 0.77
-        v = L.apply_isometry_null(g, L.null_from_angles(th, ta))
+        v = L.apply_isometry(g, L.null_from_angles(th, ta))
         xi, _ = L.ruling_coords(v)
         assert abs(np.angle(np.exp(1j * (xi[0] - xi[1])))) < 1e-9
 
@@ -292,8 +286,8 @@ class TestIsometries:
         g = L.random_isometry(rng)
         a = rng.standard_normal((100, 4))
         b = rng.standard_normal((100, 4))
-        ga = L.apply_isometry_null(g, a)
-        gb = L.apply_isometry_null(g, b)
+        ga = L.apply_isometry(g, a)
+        gb = L.apply_isometry(g, b)
         assert np.abs(L.inner(ga, gb) - L.inner(a, b)).max() < 1e-10 * max(
             1, np.abs(L.inner(a, b)).max()
         )
@@ -304,16 +298,15 @@ class TestIsometries:
             g = L.random_isometry(rng)
             v = L.null_from_angles(rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1))
             xi, eta = L.ruling_coords(v)
-            xi2, eta2 = L.ruling_coords(L.apply_isometry_null(g, v))
+            xi2, eta2 = L.ruling_coords(L.apply_isometry(g, v))
             assert abs(np.angle(np.exp(1j * (xi2 - g.left.apply_angle(xi))))) < 1e-9
             assert abs(np.angle(np.exp(1j * (eta2 - g.right.apply_angle(eta))))) < 1e-9
 
     def test_quadric_preserved(self):
         rng = np.random.default_rng(24)
         g = L.random_isometry(rng)
-        p = L.QuadricPoint(random_quadric_point(rng))
-        q = L.apply_isometry(g, p)
-        assert abs(L.inner(q.v, q.v) + 1) < 1e-10
+        q = L.apply_isometry(g, random_quadric_point(rng))
+        assert abs(L.inner(q, q) + 1) < 1e-10
 
 
 class TestProjectiveChart:
@@ -355,14 +348,29 @@ class TestProjectiveChart:
 
 class TestPlaneMobius:
     def test_reference_plane_identity(self):
-        assert L.plane_mobius(L.REFERENCE_PLANE).is_identity()
+        assert np.array_equal(L.plane_mobius(L.E4), np.eye(2))
+
+    def test_batched_matches_single(self):
+        # dual points q and -q (the same plane) in one (2, 6, 4) batch: the
+        # sign rule runs per plane, and one of each pair needs the flip
+        rng = np.random.default_rng(31)
+        q = np.stack([L.apply_isometry(L.random_isometry(rng, 0.7), L.E4)
+                      for _ in range(6)])
+        q = np.stack([q, -q])
+        m = L.plane_mobius(q)
+        assert m.shape == (2, 6, 2, 2)
+        for idx in np.ndindex(q.shape[:-1]):
+            assert np.array_equal(m[idx], L.plane_mobius(q[idx]))
+        assert np.array_equal(m[0], m[1])
+        assert np.all(np.trace(m, axis1=-2, axis2=-1) > 0)
+        assert np.allclose(np.linalg.det(m), 1.0, atol=1e-12)
 
     def test_phil_sends_plane_to_reference(self):
         rng = np.random.default_rng(28)
         g = L.random_isometry(rng, 0.7)
-        plane = L.dual_plane(L.QuadricPoint(L.apply_isometry(g, L.E4)))
-        phil, phir = L.leftright_to_P0(plane)
-        pts = L.plane_points(plane, rng.uniform(0, 2, 20), rng.uniform(0, 7, 20))
+        q = L.apply_isometry(g, L.E4)
+        phil, phir = L.leftright_to_P0(q)
+        pts = L.plane_points(q, rng.uniform(0, 2, 20), rng.uniform(0, 7, 20))
         for iso in (phil, phir):
             img = L.apply_isometry(iso, pts)
             assert np.abs(L.inner(img, L.E4)).max() < 1e-9
@@ -371,12 +379,11 @@ class TestPlaneMobius:
         rng = np.random.default_rng(29)
         g = L.random_isometry(rng, 0.7)
         q = L.apply_isometry(g, L.E4)
-        plane = L.dual_plane(L.QuadricPoint(q))
-        phil, _ = L.leftright_to_P0(plane)
+        phil, _ = L.leftright_to_P0(q)
         th = np.linspace(0, 2 * np.pi, 9)[:-1]
         v = L.null_from_angles(th, L.plane_boundary_tau(q, th))
         xi, _ = L.ruling_coords(v)
-        xi2, eta2 = L.ruling_coords(L.apply_isometry_null(phil, v))
+        xi2, eta2 = L.ruling_coords(L.apply_isometry(phil, v))
         assert np.abs(np.angle(np.exp(1j * (xi2 - xi)))).max() < 1e-9
         # image boundary is the equator graph eta = xi
         assert np.abs(np.angle(np.exp(1j * (eta2 - xi2)))).max() < 1e-9

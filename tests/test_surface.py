@@ -210,11 +210,12 @@ class TestFitDerivatives:
         fit = SF.fit_derivatives(m, u)
         du, hess = lstsq_fit(m, u)
         # the one-sided rim stencils are ill-conditioned (normal equations
-        # and lstsq part there at ~1e-9), and no caller reads the rim fit
+        # and lstsq part there at ~1e-9), so the rim is left unfitted
         inner = m.deep_interior_mask(0)
         for got, ref in ((fit["du"], du), (fit["hess"], hess)):
             err = np.abs(got[inner] - ref[inner]).max()
             assert err <= 1e-10 * np.abs(ref[inner]).max()
+            assert np.isnan(got[~inner]).all()
 
 
 class TestChiResidual:
