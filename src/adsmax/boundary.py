@@ -21,11 +21,13 @@ from scipy.special import ive
 from . import lorentz as L
 from .constants import (
     ACHRONAL_TOL,
+    IDENTITY_TOL,
     LIGHTLIKE_RUN_TOL,
     PLANAR_TOL,
     QS_ANGLES,
     QS_MAX_LOG_SCALE,
     QS_SCALES,
+    STEP_COEFF_CUT,
 )
 
 TWO_PI = 2 * np.pi
@@ -109,8 +111,8 @@ class CircleHomeo:
         out = np.mod(self.lift(x), TWO_PI)
         return out if np.ndim(out) else float(out)
 
-    def is_identity(self, tol=1e-12) -> bool:
-        return bool(np.abs(self.knots_y - self.knots_x).max() < tol)
+    def is_identity(self) -> bool:
+        return bool(np.abs(self.knots_y - self.knots_x).max() < IDENTITY_TOL)
 
 
 def mobius_boundary(m: L.MobiusMap) -> CircleHomeo:
@@ -135,7 +137,7 @@ def step_family(kappa: float) -> CircleHomeo:
     k_max = max(8, int(np.sqrt(a) * 12) + 8)
     k = np.arange(1, k_max + 1)
     coeff = ive(k, a) / ive(0, a)
-    coeff = coeff[coeff > 1e-17]
+    coeff = coeff[coeff > STEP_COEFF_CUT]
     k = k[: len(coeff)]
 
     def F(x):
@@ -181,7 +183,7 @@ class BoundaryCurve:
         if th.ndim != 1 or th.shape != ta.shape or len(th) < 4:
             raise ValueError("need at least 4 samples")
         dth = np.diff(np.concatenate([th, [th[0] + TWO_PI]]))
-        if np.any(dth <= 0) or abs(dth.sum() - TWO_PI) > 1e-9:
+        if np.any(dth <= 0):  # the diffs telescope to 2 pi: one turn
             raise ValueError("theta must be strictly increasing with winding 1")
         dta = np.diff(np.concatenate([ta, [ta[0]]]))
         if np.any(np.abs(dta) > np.abs(dth) + ACHRONAL_TOL):

@@ -10,6 +10,9 @@ by some module.
 CAUSAL_CLASS_TOL = 1e-8      # deciding timelike/null/spacelike of a normalized vector
 ORTHO_TOL = 1e-8             # <p,v>=0 precondition of the geodesic exponential
 SEPARATION_CLASS_TOL = 1e-9  # slack of -<p,q> against +-1 in lorentz_separation
+NULL_TOL = 1e-8              # ruling_coords: relative |<v,v>| above this is not null
+MOBIUS_DET_FLOOR = 1e-3      # random_mobius redraws matrices with det at or below this
+TINY = 1e-300                # floor of a nonnegative quantity before a sqrt or a division
 
 # boundary curves
 ACHRONAL_TOL = 1e-9          # slack in |dtau| <= |dtheta| for sampled curves
@@ -18,15 +21,19 @@ PLANAR_TOL = 1e-9            # singular-value ratio of a planar (Mobius) curve
 QS_ANGLES = 24               # qs_modulus: rotations of the base quadruple over [0, pi)
 QS_SCALES = 9                # qs_modulus: boosts on a symmetric log ladder
 QS_MAX_LOG_SCALE = 3.0       # qs_modulus: largest |log| boost of the ladder
+IDENTITY_TOL = 1e-12         # CircleHomeo.is_identity: max |f(x) - x| over the knots
+STEP_COEFF_CUT = 1e-17       # step_family drops Fourier coefficients at or below this
 
 # convex hull / width
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
 WIDTH_WIDEN = 16             # width tests this many times more least-cos edge pairs per round until one is causal
+POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - this
 HEIGHT_BLOCK_ROWS = 32       # hull_heights' elementwise pass runs on this many disk points at a time (~260 KB at 1,000 facets)
 
 # meshes
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim
+RING_SPAN_TOL = 1e-12        # ring_radii: relative error of the clamped steps' total span
 
 # discrete surfaces
 SPACELIKE_MARGIN = 1e-3      # default certified margin eps of a spacelike graph
@@ -37,6 +44,9 @@ CHI_SMOOTH_WIDTH = 0.25      # width (sqrt of variance) of the heat mollifier in
 CHI_VALID_FRAC = 0.98        # chi_residual keeps vertices whose diffused indicator exceeds this
 CONE_FLOOR = 1e-14           # floor on 1 - w^2 |grad u|^2 before the gradient function v = 1/sqrt(.) is taken
 GRADIENT_CAP = 0.999999      # vertex_gradient clamps w |du| to this fraction of the light cone
+FIT_RIDGE = 1e-12            # ridge on the normal equations of fit_derivatives' cubic fit
+SHAPE_RIDGE = 1e-14          # ridge on the normal equations of shape_data's shape operator fit
+FOCAL_GUARD = 1e6            # equidistant refuses when |tan(arctan |k| + |r|)| exceeds this
 
 # solvers
 MEAN_CURV_TOL = 1e-6         # terminal max-norm of H ("tol_H")

@@ -20,7 +20,8 @@ from scipy.spatial import QhullError
 
 from . import lorentz as L
 from .boundary import BoundaryCurve
-from .constants import HEIGHT_BLOCK_ROWS, VERTICAL_FACET_TOL, WIDTH_WIDEN
+from .constants import (
+    HEIGHT_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL, WIDTH_WIDEN)
 from .mesh import DiskMesh
 
 
@@ -62,7 +63,7 @@ class ConvexHull3:
 def _recentered_samples(curve: BoundaryCurve):
     t0 = 0.5 * (curve.tau.max() + curve.tau.min())
     tau = curve.tau - t0
-    if np.abs(tau).max() >= np.pi / 2 - 1e-12:
+    if np.abs(tau).max() >= np.pi / 2 - POLE_MARGIN:
         raise ValueError("curve reaches the chart poles even after recentering")
     v = L.null_from_angles(curve.theta, tau)
     z = np.stack([v[:, 0] / v[:, 2], v[:, 1] / v[:, 2], v[:, 3] / v[:, 2]],

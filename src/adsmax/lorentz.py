@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CAUSAL_CLASS_TOL, ORTHO_TOL, SEPARATION_CLASS_TOL
+from .constants import (
+    CAUSAL_CLASS_TOL, MOBIUS_DET_FLOOR, NULL_TOL, ORTHO_TOL, SEPARATION_CLASS_TOL,
+    TINY)
 
 SIGNATURE = np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -105,7 +107,7 @@ def projective_to_quadric(z):
     """Inverse of the affine chart for interior points (z1^2+z2^2 < z3^2+1)."""
     z = np.asarray(z, dtype=float)
     s = 1.0 + z[..., 2] ** 2 - z[..., 0] ** 2 - z[..., 1] ** 2
-    s = np.maximum(s, 1e-300)
+    s = np.maximum(s, TINY)
     lam = 1.0 / np.sqrt(s)
     return np.stack([z[..., 0] * lam, z[..., 1] * lam, lam, z[..., 2] * lam], axis=-1)
 
@@ -226,7 +228,7 @@ def ruling_coords(v):
     {xi = const}, right leaves {eta = const}.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(inner(v, v)) > 1e-8 * (v * v).sum(axis=-1)):
+    if np.any(np.abs(inner(v, v)) > NULL_TOL * (v * v).sum(axis=-1)):
         raise ValueError("ruling coordinates require a null vector")
     m = to_matrix(v)
     c0 = m[..., :, 0]
@@ -320,7 +322,7 @@ def disk_rotation(c: float) -> Isometry3:
 def random_mobius(rng, scale=1.0) -> MobiusMap:
     while True:
         m = np.eye(2) + scale * rng.standard_normal((2, 2))
-        if np.linalg.det(m) > 1e-3:
+        if np.linalg.det(m) > MOBIUS_DET_FLOOR:
             return MobiusMap(m)
 
 

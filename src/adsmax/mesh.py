@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse as sp
 
-from .constants import MESH_GRADING
+from .constants import MESH_GRADING, RING_SPAN_TOL
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def ring_radii(radius: float, n_rings: int, n_angular: int) -> np.ndarray:
         for _ in range(60):
             clamped = np.clip(steps, lo, hi)
             total = clamped.sum()
-            if abs(total - (z1 - z0)) < 1e-12 * max(abs(z1 - z0), 1.0):
+            if abs(total - (z1 - z0)) < RING_SPAN_TOL * max(abs(z1 - z0), 1.0):
                 steps = clamped
                 break
             free = (clamped > lo) & (clamped < hi)
@@ -256,8 +256,8 @@ def quality_report(mesh: DiskMesh) -> dict:
 def corner_sum(mesh: DiskMesh, vals):
     """Per vertex, the sum of per-corner values vals (broadcast to (M, 3))
     over the triangle corners at that vertex.  One bincount over the corners
-    taken column by column adds in the order of a per-column np.add.at loop,
-    so the sums are bitwise equal to it."""
+    taken column by column sums in the order of an unbuffered scatter of one
+    column at a time, so the sums are bitwise equal to such a loop."""
     t = mesh.triangles
     w = np.broadcast_to(vals, t.shape)
     return np.bincount(t.T.ravel(), weights=w.T.ravel(),

@@ -24,6 +24,7 @@ spacelike is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +69,7 @@ class SolveRejected(RuntimeError):
 @dataclass
 class SolveConfig:
     stages: tuple = ((1.4, 12, 40), (2.2, 20, 64), (3.0, 26, 84))
-    tol_H: float = MEAN_CURV_TOL
+    tol_H: ClassVar[float] = MEAN_CURV_TOL
 
     def __post_init__(self):
         radii = [s[0] for s in self.stages]

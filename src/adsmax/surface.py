@@ -42,9 +42,12 @@ from .constants import (
     CHI_SMOOTH_WIDTH,
     CHI_VALID_FRAC,
     CONE_FLOOR,
+    FIT_RIDGE,
+    FOCAL_GUARD,
     GRADIENT_CAP,
     MARGIN_FLOOR,
-    SPACELIKE_MARGIN,
+    SHAPE_RIDGE,
+    TINY,
 )
 from .mesh import DiskMesh, corner_sum, make_mesh, p1_matrix, vertex_neighbors
 
@@ -133,20 +136,24 @@ def fit_derivatives(mesh: DiskMesh, u):
     du = u[k] - u[inner][i]
     w = 1.0 / (1.0 + (x**2).sum(axis=1))
     top = 2 * _FIT_EXP.max()  # highest power of x1 or of x2 in ATA
-    wx1 = [w]                 # w x1^p
-    x2 = [np.ones_like(w)]    # x2^q
-    for _ in range(top):
-        wx1.append(wx1[-1] * x[:, 0])
-        x2.append(x2[-1] * x[:, 1])
+    col = {(p, q): a for a, (p, q) in enumerate(_FIT_EXP.tolist())}
     moments = np.zeros((n, top + 1, top + 1))
+    ATB = np.empty((n, len(_FIT_EXP)))
+    # running products, so that only a few per-pair arrays are alive
     for p in range(top + 1):
-        for q in range(max(2 - p, 0), top + 1 - p):
-            moments[:, p, q] = np.bincount(i, wx1[p] * x2[q], minlength=n)
+        wp = wp * x[:, 0] if p else w  # w x1^p
+        wpq = wp                       # w x1^p x2^q
+        for q in range(top + 1 - p):
+            if q:
+                x2q = x2q * x[:, 1] if q > 1 else x[:, 1]
+                wpq = wp * x2q
+            if p + q >= 2:
+                moments[:, p, q] = np.bincount(i, wpq, minlength=n)
+            if (p, q) in col:
+                ATB[:, col[p, q]] = np.bincount(i, wpq * du, minlength=n)
     ep, eq = _FIT_EXP[:, 0], _FIT_EXP[:, 1]
     ATA = moments[:, ep[:, None] + ep, eq[:, None] + eq]
-    ATB = np.stack([np.bincount(i, wx1[p] * x2[q] * du, minlength=n)
-                    for p, q in _FIT_EXP], axis=-1)
-    ATA += 1e-12 * np.eye(len(_FIT_EXP))
+    ATA += FIT_RIDGE * np.eye(len(_FIT_EXP))
     c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
     s = scale
     du = np.full((mesh.n_vertices, 2), np.nan)
@@ -220,17 +227,13 @@ def chart_frame(y, t):
     d = 1.0 - r2
     h3 = (1 + r2) / d
     ct, st = np.cos(t), np.sin(t)
-    dh = np.empty(y.shape[:-1] + (2, 3))
-    for j in range(2):
-        dh[..., j, 0] = 2 * (j == 0) / d + 4 * y[..., 0] * y[..., j] / d**2
-        dh[..., j, 1] = 2 * (j == 1) / d + 4 * y[..., 1] * y[..., j] / d**2
-        dh[..., j, 2] = 4 * y[..., j] / d**2
+    # dh[..., j, :] = d(h1, h2, h3)/dy_j of the hyperboloid lift h
+    dd = d[..., None, None]
+    yh = np.concatenate([y, np.ones_like(y[..., :1])], axis=-1)
+    dh = 2 * np.eye(2, 3) / dd + 4 * yh[..., None, :] * y[..., :, None] / dd**2
     frame = np.zeros(y.shape[:-1] + (3, 4))
-    for j in range(2):
-        frame[..., j, 0] = dh[..., j, 0]
-        frame[..., j, 1] = dh[..., j, 1]
-        frame[..., j, 2] = dh[..., j, 2] * ct
-        frame[..., j, 3] = dh[..., j, 2] * st
+    frame[..., :2, :2] = dh[..., :2]
+    frame[..., :2, 2:] = dh[..., 2:] * np.stack([ct, st], axis=-1)[..., None, :]
     frame[..., 2, 2] = -h3 * st
     frame[..., 2, 3] = h3 * ct
     return frame
@@ -241,67 +244,35 @@ def vertex_gradient(S: SpacelikeGraph):
     the fit leaves out)."""
     du = fit_derivatives(S.mesh, S.u)["du"]
     rim = ~S.mesh.deep_interior_mask(0)
-    if rim.any():
-        du_p1 = recovered_gradient(S.mesh, S.u)
-        du[rim] = du_p1[rim]
+    du[rim] = recovered_gradient(S.mesh, S.u)[rim]
     # clamp into the spacelike cone (fit overshoot near steep rims)
     w = (1 + (S.mesh.vertices**2).sum(axis=1)) / 2
     norm = np.sqrt((du**2).sum(axis=1))
     cap = GRADIENT_CAP / w
     over = norm > cap
-    if over.any():
-        du[over] *= (cap[over] / norm[over])[:, None]
+    du[over] *= (cap[over] / norm[over])[:, None]
     return du
-
-
-def gradient_function(S: SpacelikeGraph, du=None):
-    """v = 1/sqrt(1 - phi^2 |grad u|^2_H) >= 1, per vertex."""
-    y = S.mesh.vertices
-    w = (1 + (y**2).sum(axis=1)) / 2
-    du = vertex_gradient(S) if du is None else du
-    s = 1.0 - w**2 * (du**2).sum(axis=1)
-    if np.any(s <= 0):
-        raise ValueError("spacelike margin violated at a vertex")
-    return 1.0 / np.sqrt(s)
-
-
-def normal_field(S: SpacelikeGraph, du=None):
-    """Future unit normal nu per vertex as an R^{2,2} vector."""
-    y = S.mesh.vertices
-    r2 = (y**2).sum(axis=1)
-    lam2 = 4 / (1 - r2) ** 2
-    phi = (1 + r2) / (1 - r2)
-    du = vertex_gradient(S) if du is None else du
-    v = gradient_function(S, du)
-    fr = chart_frame(y, S.u)
-    horiz = (du[:, 0, None] * fr[:, 0] + du[:, 1, None] * fr[:, 1]) / lam2[:, None]
-    nu = (phi * v)[:, None] * (horiz + fr[:, 2] / (phi**2)[:, None])
-    return nu
 
 
 def graph_points(S: SpacelikeGraph):
     return L.cyl_to_quadric(S.mesh.vertices, S.u)
 
 
-def graph_tangent_frame(S: SpacelikeGraph, du=None):
-    """Graph-coordinate tangent basis G_j = dq/dy_j + u_{,j} dq/dt, (N,2,4)."""
-    du = vertex_gradient(S) if du is None else du
-    fr = chart_frame(S.mesh.vertices, S.u)
-    return fr[:, :2] + du[:, :, None] * fr[:, 2][:, None, :]
-
-
 @dataclass(frozen=True)
 class ShapeData:
     """Per-vertex extrinsic package in graph coordinates.
 
-    I is the induced metric Gram matrix of (G1, G2); B the shape operator
-    (I-self-adjoint, symmetrized in the least-squares fit); J the complex
-    structure of I with the graph orientation.  K_ext = -1 - det B;
-    K_int is the angle-defect curvature of I.  Entries on masked vertices
-    (the rim layer) are NaN.
+    G holds the graph-coordinate tangent basis G_j = dq/dy_j + u_{,j} dq/dt
+    in R^{2,2}; nu is the future unit normal and v = 1/sqrt(1 - phi^2
+    |grad u|^2_H) >= 1 the gradient function.  I is the induced metric Gram
+    matrix of (G1, G2); B the shape operator (I-self-adjoint, symmetrized in
+    the least-squares fit); J the complex structure of I with the graph
+    orientation.  K_ext = -1 - det B; K_int is the angle-defect curvature of
+    I.  Entries of the curvatures on masked vertices (the rim layer) are NaN.
     """
 
     surface: SpacelikeGraph
+    G: np.ndarray         # (N,2,4)
     nu: np.ndarray        # (N,4)
     v: np.ndarray         # (N,)
     I: np.ndarray         # (N,2,2)
@@ -322,13 +293,9 @@ class ShapeData:
 
 def _complex_structure(I):
     det = I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] * I[..., 1, 0]
-    s = np.sqrt(np.maximum(det, 1e-300))
-    J = np.empty_like(I)
-    J[..., 0, 0] = -I[..., 0, 1]
-    J[..., 0, 1] = -I[..., 1, 1]
-    J[..., 1, 0] = I[..., 0, 0]
-    J[..., 1, 1] = I[..., 0, 1]
-    return J / s[..., None, None]
+    J = np.stack([-I[..., 0, 1], -I[..., 1, 1], I[..., 0, 0], I[..., 0, 1]],
+                 axis=-1).reshape(I.shape)
+    return J / np.sqrt(np.maximum(det, TINY))[..., None, None]
 
 
 def metric_gauss_curvature(mesh: DiskMesh, metric):
@@ -339,80 +306,65 @@ def metric_gauss_curvature(mesh: DiskMesh, metric):
     """
     metric = np.asarray(metric, dtype=float)
     t = mesh.triangles
-    pv = mesh.vertices
-    # squared edge lengths, edge k opposite vertex k
-    l2 = np.empty((len(t), 3))
-    for k in range(3):
-        a, b = t[:, (k + 1) % 3], t[:, (k + 2) % 3]
-        d = pv[b] - pv[a]
-        mid = 0.5 * (metric[a] + metric[b])
-        l2[:, k] = np.einsum("mi,mij,mj->m", d, mid, d)
-    l2 = np.maximum(l2, 1e-300)
-    ang = np.empty((len(t), 3))
-    for k in range(3):
-        la2 = l2[:, (k + 1) % 3]
-        lb2 = l2[:, (k + 2) % 3]
-        lc2 = l2[:, k]
-        cosk = (la2 + lb2 - lc2) / (2 * np.sqrt(la2 * lb2))
-        ang[:, k] = np.arccos(np.clip(cosk, -1.0, 1.0))
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    # squared edge lengths, edge k (corners k+1, k+2) opposite corner k
+    a, b = t[:, nxt], t[:, prv]
+    d = mesh.vertices[b] - mesh.vertices[a]
+    mid = 0.5 * (metric[a] + metric[b])
+    l2 = np.maximum(np.einsum("mki,mkij,mkj->mk", d, mid, d), TINY)
+    la2, lb2 = l2[:, nxt], l2[:, prv]
+    ang = np.arccos(np.clip((la2 + lb2 - l2) / (2 * np.sqrt(la2 * lb2)),
+                           -1.0, 1.0))
     # Heron area from the metric lengths
-    s = 0.5 * np.sqrt(l2).sum(axis=1)
     ls = np.sqrt(l2)
+    s = 0.5 * ls.sum(axis=1)
     har = np.sqrt(np.maximum(
         s * (s - ls[:, 0]) * (s - ls[:, 1]) * (s - ls[:, 2]), 0.0))
-    defect = np.full(mesh.n_vertices, 2 * np.pi)
-    for k in range(3):
-        np.add.at(defect, t[:, k], -ang[:, k])
+    defect = 2 * np.pi - corner_sum(mesh, ang)
     area_share = corner_sum(mesh, (har / 3.0)[:, None])
-    K = defect / np.maximum(area_share, 1e-300)
+    K = defect / np.maximum(area_share, TINY)
     K[mesh.boundary_mask] = np.nan
     return K
 
 
 def shape_data(S: SpacelikeGraph) -> ShapeData:
     mesh = S.mesh
-    du = vertex_gradient(S)
-    nu = normal_field(S, du)
-    v = gradient_function(S, du)
-    G = graph_tangent_frame(S, du)
+    y = mesh.vertices
+    r2 = (y**2).sum(axis=1)
+    lam2 = 4 / (1 - r2) ** 2
+    phi = (1 + r2) / (1 - r2)
+    w = (1 + r2) / 2
+    du = vertex_gradient(S)  # w |du| <= GRADIENT_CAP, so v is finite
+    v = 1.0 / np.sqrt(1.0 - w**2 * (du**2).sum(axis=1))
+    fr = chart_frame(y, S.u)
+    G = fr[:, :2] + du[:, :, None] * fr[:, 2][:, None, :]
+    horiz = (du[:, 0, None] * fr[:, 0] + du[:, 1, None] * fr[:, 1]) / lam2[:, None]
+    nu = (phi * v)[:, None] * (horiz + fr[:, 2] / (phi**2)[:, None])
     II = np.einsum("nad,d,nbd->nab", G, L.SIGNATURE, G)
 
     edges = vertex_neighbors(mesh)
     i, k = edges[:, 0], edges[:, 1]
-    dy = mesh.vertices[k] - mesh.vertices[i]
+    dy = y[k] - y[i]
     dnu = nu[k] - nu[i]
     # pair the ambient increment with the midpoint tangent frame (kills the
     # position and normal components and centers the difference)
     Gm = 0.5 * (G[i] + G[k])
-    m = np.stack(
-        [
-            np.einsum("ed,d,ed->e", dnu, L.SIGNATURE, Gm[:, 0]),
-            np.einsum("ed,d,ed->e", dnu, L.SIGNATURE, Gm[:, 1]),
-        ],
-        axis=-1,
-    )
-    # least squares for symmetric C = I B:  [dy1, dy2, 0; 0, dy1, dy2] c = m
-    wgt = 1.0 / np.maximum(np.linalg.norm(dy, axis=1), 1e-30)
-    A_rows = np.zeros((len(edges), 2, 3))
-    A_rows[:, 0, 0] = dy[:, 0]
-    A_rows[:, 0, 1] = dy[:, 1]
-    A_rows[:, 1, 1] = dy[:, 0]
-    A_rows[:, 1, 2] = dy[:, 1]
-    A_rows *= wgt[:, None, None]
-    m_w = m * wgt[:, None]
-    ata = np.einsum("era,erb->eab", A_rows, A_rows)
-    atb = np.einsum("era,er->ea", A_rows, m_w)
-    ATA = np.zeros((mesh.n_vertices, 3, 3))
-    ATB = np.zeros((mesh.n_vertices, 3))
-    np.add.at(ATA, i, ata)
-    np.add.at(ATB, i, atb)
-    ATA += 1e-14 * np.eye(3)
-    c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
-    C = np.empty((mesh.n_vertices, 2, 2))
-    C[:, 0, 0] = c[:, 0]
-    C[:, 0, 1] = C[:, 1, 0] = c[:, 1]
-    C[:, 1, 1] = c[:, 2]
-    B = np.linalg.solve(II, C)
+    m = np.einsum("ed,d,ead->ea", dnu, L.SIGNATURE, Gm)
+    # least squares for symmetric C = I B over the edges scaled to unit
+    # length: rows [a, b, 0; 0, a, b] c = m' with (a, b) = dy/|dy| and
+    # m' = m/|dy|, summed into the normal equations entry by entry
+    wgt = 1.0 / np.linalg.norm(dy, axis=1)
+    a, b = (dy * wgt[:, None]).T
+    m0, m1 = (m * wgt[:, None]).T
+    n = mesh.n_vertices
+    # one bincount per distinct entry of A^T A (a^2, ab, a^2 + b^2, b^2) and
+    # of A^T m', then a zero column for the corners of A^T A
+    parts = (a * a, a * b, b * b + a * a, b * b, a * m0, b * m0 + a * m1, b * m1)
+    tot = np.stack([np.bincount(i, x, minlength=n) for x in parts]
+                   + [np.zeros(n)], axis=-1)
+    ATA = tot[:, [[0, 1, 7], [1, 2, 1], [7, 1, 3]]] + SHAPE_RIDGE * np.eye(3)
+    c = np.linalg.solve(ATA, tot[:, 4:7, None])[..., 0]
+    B = np.linalg.solve(II, c[:, [[0, 1], [1, 2]]])
 
     H = np.trace(B, axis1=1, axis2=2)
     detB = np.linalg.det(B)
@@ -424,12 +376,10 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
     J = _complex_structure(II)
 
     mask = mesh.deep_interior_mask(BOUNDARY_MASK_RINGS)
-    for arr in (H, detB, k1, k2, K_ext, K_int):
+    for arr in (H, detB, k1, k2, K_ext, K_int, B):
         arr[~mask] = np.nan
-    nanmat = ~mask
-    B[nanmat] = np.nan
     return ShapeData(
-        surface=S, nu=nu, v=v, I=II, B=B, J=J, H=H, detB=detB,
+        surface=S, G=G, nu=nu, v=v, I=II, B=B, J=J, H=H, detB=detB,
         k1=k1, k2=k2, K_ext=K_ext, K_int=K_int, mask=mask,
     )
 
@@ -439,7 +389,7 @@ def _metric_operator(mesh: DiskMesh, metric):
     g = mesh.fem
     M = np.asarray(metric)[mesh.triangles].mean(axis=1)
     Minv = np.linalg.inv(M)
-    sdet = np.sqrt(np.maximum(np.linalg.det(M), 1e-300))
+    sdet = np.sqrt(np.maximum(np.linalg.det(M), TINY))
     K = p1_matrix(mesh, lambda ga, gb: np.einsum("md,mde,me->m", ga, Minv, gb)
                   * g["area"] * sdet)
     return K, corner_sum(mesh, (g["area"] * sdet / 3.0)[:, None])
@@ -548,15 +498,11 @@ def horosphere_principal_frames(mesh: DiskMesh):
     audits of the curvature foliations)."""
     y = mesh.vertices
     h = L.poincare_to_hyperboloid(y)
-    # gradients of sigma, beta in y via the chain rule through h1, h2
-    r2 = (y**2).sum(axis=1)
-    d = 1.0 - r2
-    dh1 = np.stack([2 / d + 4 * y[:, 0] ** 2 / d**2, 4 * y[:, 0] * y[:, 1] / d**2],
-                   axis=-1)
-    dh2 = np.stack([4 * y[:, 0] * y[:, 1] / d**2, 2 / d + 4 * y[:, 1] ** 2 / d**2],
-                   axis=-1)
-    gs = dh1 * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 0] ** 2))[:, None]
-    gb = dh2 * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 1] ** 2))[:, None]
+    # gradients of sigma, beta in y via the chain rule through h1, h2, with
+    # dh[:, j, a] = d h_a / d y_j read off the chart frame at t = 0
+    dh = chart_frame(y, 0.0)[:, :2]
+    gs = dh[:, :, 0] * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 0] ** 2))[:, None]
+    gb = dh[:, :, 1] * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 1] ** 2))[:, None]
     gs /= np.linalg.norm(gs, axis=1)[:, None]
     gb /= np.linalg.norm(gb, axis=1)[:, None]
     return gs, gb
@@ -580,7 +526,7 @@ def equidistant(S: SpacelikeGraph, r: float,
     kmax = np.nanmax(np.abs(np.stack([sd.k1, sd.k2])))
     pred = equidistant_prediction(np.array([kmax, -kmax]), r)
     if not np.all(np.isfinite(pred)) or np.nanmax(np.abs(np.tan(
-            np.arctan(np.abs(kmax)) + abs(r)))) > 1e6:
+            np.arctan(np.abs(kmax)) + abs(r)))) > FOCAL_GUARD:
         raise ValueError("focal point crossed: principal curvature leaves (-1,1)")
     if kmax >= 1.0:
         raise ValueError("principal curvatures must lie in (-1,1)")

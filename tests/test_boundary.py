@@ -173,6 +173,11 @@ class TestLiftGraph:
         dta = np.diff(np.concatenate([c.tau, [c.tau[0]]]))
         assert np.all(np.abs(dta) <= np.abs(dth) + 1e-9)
 
+    def test_more_than_one_turn_rejected(self):
+        th = np.linspace(0.0, 3 * np.pi, 12)  # increasing, but 1.5 turns
+        with pytest.raises(ValueError):
+            B.BoundaryCurve(th, np.zeros_like(th))
+
     def test_timelike_pair_rejected(self):
         th = np.array([0.0, 1.0, 2.0, 4.0])
         ta = np.array([0.0, 0.0, 1.5, 0.0])  # jump of 1.5 over dtheta 1.0

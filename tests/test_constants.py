@@ -1,5 +1,7 @@
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 from adsmax import constants as C
@@ -44,3 +46,17 @@ def test_every_public_name_is_read():
                     read.update(a.name for a in node.names)
     unused = sorted(f"{m}:{n}" for n, m in defined.items() if n not in read)
     assert defined and not unused
+
+
+def test_no_exponent_literal_outside_constants():
+    # tolerances and floors are written in exponent form; they belong in
+    # constants.py under a name
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "constants.py":
+            continue
+        for tok in tokenize.generate_tokens(io.StringIO(p.read_text()).readline):
+            s = tok.string.lower()
+            if tok.type == tokenize.NUMBER and "e" in s and not s.startswith("0x"):
+                found.append(f"{p.name}:{tok.start[0]}: {tok.string}")
+    assert not found

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,12 +39,12 @@ class TestGradientFunction:
     def test_plane_is_one(self):
         m = MM.make_mesh(2.0, 12, 36)
         S = SF.SpacelikeGraph.certify(m, np.zeros(m.n_vertices))
-        assert np.abs(SF.gradient_function(S) - 1).max() < 1e-14
+        assert np.abs(SF.shape_data(S).v - 1).max() < 1e-14
 
     def test_tilted_plane_closed_form(self):
         m = MM.make_mesh(2.0, 24, 72)
         S = SF.plane_surface(m, TILT)
-        v = SF.gradient_function(S)
+        v = SF.shape_data(S).v
         v_exact = L.plane_gradient_function(TILT, m.vertices)
         sel = m.deep_interior_mask(1)
         assert np.abs(v[sel] - v_exact[sel]).max() < 2e-3
@@ -50,14 +52,29 @@ class TestGradientFunction:
     def test_at_least_one(self):
         m = MM.make_mesh(2.0, 16, 48)
         S = SF.umbilic_surface(m, 0.3)
-        assert SF.gradient_function(S).min() >= 1.0
+        assert SF.shape_data(S).v.min() >= 1.0
+
+
+class TestChartFrame:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(7)
+        r = 0.85 * np.sqrt(rng.uniform(0, 1, 200))
+        a = rng.uniform(0, 2 * np.pi, 200)
+        y = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
+        t = rng.uniform(-1.2, 1.2, 200)
+        h, q = 1e-6, L.cyl_to_quadric
+        fd = np.stack([(q(y + h * e, t) - q(y - h * e, t)) / (2 * h)
+                       for e in np.eye(2)]
+                      + [(q(y, t + h) - q(y, t - h)) / (2 * h)], axis=1)
+        fr = SF.chart_frame(y, t)
+        assert np.abs(fr - fd).max() < 1e-8 * np.abs(fr).max()
 
 
 class TestNormalField:
     def test_unit_timelike_future(self):
         m = MM.make_mesh(2.0, 16, 48)
         S = SF.umbilic_surface(m, 0.25)
-        nu = SF.normal_field(S)
+        nu = SF.shape_data(S).nu
         assert np.abs(L.inner(nu, nu) + 1).max() < 1e-10
         # future: positive pairing with the time Killing direction
         fr = SF.chart_frame(m.vertices, S.u)
@@ -66,8 +83,8 @@ class TestNormalField:
     def test_orthogonal_to_tangents(self):
         m = MM.make_mesh(2.0, 16, 48)
         S = SF.umbilic_surface(m, 0.25)
-        nu = SF.normal_field(S)
-        G = SF.graph_tangent_frame(S)
+        sd = SF.shape_data(S)
+        nu, G = sd.nu, sd.G
         sel = m.deep_interior_mask(1)
         assert np.abs(L.inner(nu[:, None, :], G))[sel].max() < 1e-9
 
@@ -216,6 +233,20 @@ class TestFitDerivatives:
             err = np.abs(got[inner] - ref[inner]).max()
             assert err <= 1e-10 * np.abs(ref[inner]).max()
             assert np.isnan(got[~inner]).all()
+
+    def test_peak_memory_is_a_few_pair_arrays(self):
+        # the moment sums keep a few per-pair arrays alive, not one per
+        # power; the cached pair list is not counted
+        m = MM.make_mesh(3.0, 26, 84)
+        u = SF.umbilic_surface(m, 0.4).u
+        pairs = m.two_ring_pairs
+        tracemalloc.start()
+        try:
+            SF.fit_derivatives(m, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 8 * len(pairs)
 
 
 class TestChiResidual:
