@@ -12,6 +12,7 @@ of cross-ratio-2 quadruples, transported around the circle by Mobius maps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from scipy.special import ive
 from . import lorentz as L
 from .constants import (
     ACHRONAL_TOL,
-    IDENTITY_TOL,
     LIGHTLIKE_RUN_TOL,
     PLANAR_TOL,
     QS_ANGLES,
@@ -54,23 +54,26 @@ def cross_ratio(a, b, c, d):
 
 @dataclass(frozen=True)
 class CircleHomeo:
-    """Strictly increasing degree-1 circle map, monotone-cubic between knots.
+    """Strictly increasing degree-1 circle map, given by a lift F with
+    F(x + 2pi) = F(x) + 2pi.
 
-    knots_x are angles in [0, 2pi), knots_y the lifted values (strictly
-    increasing, winding +1).  Evaluation goes through a PCHIP interpolant on a
-    periodically padded window, which preserves monotonicity.  The closed-form
-    families attach an exact lift; the knots stay canonical (they are what a
-    JSON round trip keeps), the exact evaluator just removes interpolation
-    error where a formula exists.
+    The closed-form families pass their formula; `from_knots` builds the
+    lift of sampled data.
     """
 
-    knots_x: np.ndarray
-    knots_y: np.ndarray
-    exact_lift: object = None
+    F: Callable
 
-    def __post_init__(self):
-        x = np.asarray(self.knots_x, dtype=float)
-        y = np.asarray(self.knots_y, dtype=float)
+    @staticmethod
+    def identity() -> "CircleHomeo":
+        return CircleHomeo(lambda v: np.asarray(v, float))
+
+    @staticmethod
+    def from_knots(x, y) -> "CircleHomeo":
+        """Lift through knots x in [0, 2pi) with lifted values y, both
+        strictly increasing with winding 1: a PCHIP interpolant on a
+        periodically padded window keeps it monotone between the knots."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 4:
             raise ValueError("need at least 4 matching knots")
         if np.any(np.diff(x) <= 0) or x[0] < 0 or x[-1] >= TWO_PI:
@@ -78,47 +81,30 @@ class CircleHomeo:
         wrap = np.diff(np.concatenate([y, [y[0] + TWO_PI]]))
         if np.any(wrap <= 0):
             raise ValueError("knot values must be strictly increasing with winding 1")
-        object.__setattr__(self, "knots_x", x)
-        object.__setattr__(self, "knots_y", y)
         pad = 3
         xx = np.concatenate([x[-pad:] - TWO_PI, x, x[:pad] + TWO_PI])
         yy = np.concatenate([y[-pad:] - TWO_PI, y, y[:pad] + TWO_PI])
-        object.__setattr__(self, "_interp", PchipInterpolator(xx, yy))
+        interp = PchipInterpolator(xx, yy)
 
-    @staticmethod
-    def identity() -> "CircleHomeo":
-        x = np.linspace(0, TWO_PI, 16, endpoint=False)
-        return CircleHomeo(x, x.copy(), exact_lift=lambda v: np.asarray(v, float))
+        def F(v):
+            k = np.floor(v / TWO_PI)
+            return interp(v - TWO_PI * k) + TWO_PI * k
 
-    @staticmethod
-    def from_lift(F, n_knots: int = 256) -> "CircleHomeo":
-        """Sample a lift F (monotone, F(x+2pi)=F(x)+2pi) at uniform knots."""
-        x = np.linspace(0, TWO_PI, n_knots, endpoint=False)
-        y = np.asarray(F(x), dtype=float).reshape(len(x))
-        return CircleHomeo(x, y)
+        return CircleHomeo(F)
 
     def lift(self, x):
         """Monotone lift: F(x + 2pi) = F(x) + 2pi."""
-        x = np.asarray(x, dtype=float)
-        if self.exact_lift is not None:
-            out = np.asarray(self.exact_lift(x), dtype=float)
-            return out if out.ndim else float(out)
-        k = np.floor(x / TWO_PI)
-        out = self._interp(x - TWO_PI * k) + TWO_PI * k
+        out = np.asarray(self.F(np.asarray(x, dtype=float)), dtype=float)
         return out if out.ndim else float(out)
 
     def __call__(self, x):
         out = np.mod(self.lift(x), TWO_PI)
         return out if np.ndim(out) else float(out)
 
-    def is_identity(self) -> bool:
-        return bool(np.abs(self.knots_y - self.knots_x).max() < IDENTITY_TOL)
-
 
 def mobius_boundary(m: L.MobiusMap) -> CircleHomeo:
     """The circle map induced by a Mobius transformation on doubled angles."""
-    x = np.linspace(0, TWO_PI, 256, endpoint=False)
-    return CircleHomeo(x, m.apply_angle_lift(x), exact_lift=m.apply_angle_lift)
+    return CircleHomeo(m.apply_angle_lift)
 
 
 def step_family(kappa: float) -> CircleHomeo:
@@ -146,20 +132,14 @@ def step_family(kappa: float) -> CircleHomeo:
             coeff / k * np.sin(2 * np.multiply.outer(x, k))
         ).sum(axis=-1)
 
-    x = np.linspace(0, TWO_PI, 256, endpoint=False)
-    return CircleHomeo(x, F(x), exact_lift=F)
+    return CircleHomeo(F)
 
 
 def bump_family(amplitude: float) -> CircleHomeo:
     """F(x) = x + A sin x, a smooth monotone bump for |A| < 1."""
     if not abs(amplitude) < 1.0:
         raise ValueError("|amplitude| must be < 1")
-    x = np.linspace(0, TWO_PI, 128, endpoint=False)
-    return CircleHomeo(
-        x,
-        x + amplitude * np.sin(x),
-        exact_lift=lambda v: np.asarray(v, float) + amplitude * np.sin(v),
-    )
+    return CircleHomeo(lambda v: np.asarray(v, float) + amplitude * np.sin(v))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ PLANAR_TOL = 1e-9            # singular-value ratio of a planar (Mobius) curve
 QS_ANGLES = 24               # qs_modulus: rotations of the base quadruple over [0, pi)
 QS_SCALES = 9                # qs_modulus: boosts on a symmetric log ladder
 QS_MAX_LOG_SCALE = 3.0       # qs_modulus: largest |log| boost of the ladder
-IDENTITY_TOL = 1e-12         # CircleHomeo.is_identity: max |f(x) - x| over the knots
 STEP_COEFF_CUT = 1e-17       # step_family drops Fourier coefficients at or below this
 
 # convex hull / width
@@ -62,7 +61,6 @@ STAGNATION_STEP = 1e-3       # a Newton step length below this counts as stagnan
 STAGNATION_COUNT = 5         # consecutive stagnant Newton steps that end a stage
 WARM_START_FRAC = 0.98       # warm_start interpolates the previous stage inside this fraction of its radius
 CAUCHY_COMMON_FRAC = 0.9     # Cauchy differences compare stages inside this fraction of the common radius
-FLOW_GRADIENT_FLOOR = 1e-12  # floor on 1 - w^2 |grad u|^2 in the flow's frozen gradient function
 FLOW_CHECK_SKIP_FRAC = 0.05  # flow_bound_checks skips this leading share of the history (transient)
 FLOW_CHECK_SLACK = 0.1       # relative slack of the appendix bound H^2 <= (n/2)/s
 FLOW_CHECK_DU_SLACK = 0.01   # absolute slack of the appendix bound |u_s - u_0| <= sqrt(n s)

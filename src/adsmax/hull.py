@@ -65,10 +65,7 @@ def _recentered_samples(curve: BoundaryCurve):
     tau = curve.tau - t0
     if np.abs(tau).max() >= np.pi / 2 - POLE_MARGIN:
         raise ValueError("curve reaches the chart poles even after recentering")
-    v = L.null_from_angles(curve.theta, tau)
-    z = np.stack([v[:, 0] / v[:, 2], v[:, 1] / v[:, 2], v[:, 3] / v[:, 2]],
-                 axis=-1)
-    return t0, z
+    return t0, L.quadric_to_projective(L.null_from_angles(curve.theta, tau))
 
 
 def convex_hull(curve: BoundaryCurve) -> ConvexHull3:

@@ -141,14 +141,6 @@ def geodesic_exp(p, v, s):
     return out if out.ndim > 1 else out.reshape(4)
 
 
-def parallel_along_timelike(p, v, s):
-    """Parallel transport of the unit timelike v along its own geodesic:
-    v(s) = -sin(s) p + cos(s) v, closed form for the cos branch."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return -np.sin(s) * p + np.cos(s) * v
-
-
 def lorentz_separation(p, q):
     """Causal class and separation of two quadric points inside one period.
 
@@ -334,35 +326,6 @@ def random_isometry(rng, scale=1.0) -> Isometry3:
 # planes and duality: a spacelike plane q^perp cap AdS is given by its dual
 # point q, which is also the future unit normal at every point of the plane
 
-def plane_orthobasis(q):
-    """Orthonormal basis (e_a, e_b spacelike, e_t timelike) of q^perp."""
-    q = np.asarray(q, dtype=float)
-    row = (SIGNATURE * q).reshape(1, 4)
-    _, _, vt = np.linalg.svd(row)
-    basis = vt[1:]  # 3 independent vectors spanning q^perp
-    gram = np.einsum("id,d,jd->ij", basis, SIGNATURE, basis)
-    w, vec = np.linalg.eigh(gram)
-    vecs = basis.T @ vec  # columns, <.,.>-orthogonal
-    order = np.argsort(w)[::-1]  # two positive first, negative last
-    e_a = vecs[:, order[0]] / np.sqrt(w[order[0]])
-    e_b = vecs[:, order[1]] / np.sqrt(w[order[1]])
-    e_t = vecs[:, order[2]] / np.sqrt(-w[order[2]])
-    return e_a, e_b, e_t
-
-
-def plane_points(q, rho, psi):
-    """Points cosh(rho) e_t + sinh(rho)(cos psi e_a + sin psi e_b) of the
-    plane dual to q."""
-    e_a, e_b, e_t = plane_orthobasis(q)
-    rho = np.asarray(rho, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    return (
-        np.cosh(rho)[..., None] * e_t
-        + np.sinh(rho)[..., None]
-        * (np.cos(psi)[..., None] * e_a + np.sin(psi)[..., None] * e_b)
-    )
-
-
 def plane_graph_height(q, y, branch=-1):
     """Graph height t(y) of a lift of the plane dual to q over the disk.
 
@@ -375,23 +338,6 @@ def plane_graph_height(q, y, branch=-1):
     alpha = np.arctan2(q[3], q[2])
     c = (h[..., 0] * q[0] + h[..., 1] * q[1]) / (h[..., 2] * R)
     return alpha + branch * np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def plane_boundary_tau(q, theta, branch=-1):
-    """Boundary trace tau(theta) of the same lift."""
-    q = np.asarray(q, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    R = np.hypot(q[2], q[3])
-    alpha = np.arctan2(q[3], q[2])
-    c = (q[0] * np.cos(theta) + q[1] * np.sin(theta)) / R
-    return alpha + branch * np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def plane_gradient_function(q, y):
-    """Closed-form gradient function v = -<nu, T> of a plane graph (past lift)."""
-    q = np.asarray(q, dtype=float)
-    t = plane_graph_height(q, y, branch=-1)
-    return q[3] * np.cos(t) - q[2] * np.sin(t)
 
 
 def plane_mobius(q):

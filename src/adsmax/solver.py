@@ -38,12 +38,12 @@ from . import surface as SF
 from .constants import (
     AREA_ROUNDOFF,
     CAUCHY_COMMON_FRAC,
+    CONE_FLOOR,
     FLOW_BUDGET,
     FLOW_CHECK_DU_SLACK,
     FLOW_CHECK_SKIP_FRAC,
     FLOW_CHECK_SLACK,
     FLOW_DS_GROWTH,
-    FLOW_GRADIENT_FLOOR,
     FLOW_INFLATION,
     LINE_SEARCH_HALVINGS,
     MAX_NEWTON,
@@ -189,8 +189,7 @@ def flow_step(state: FlowState, cfg: SolveConfig) -> FlowState:
     # v at vertices, frozen at step start
     w = (1 + r2) / 2
     du = SF.recovered_gradient(mesh, u)
-    v = 1.0 / np.sqrt(np.maximum(1 - w**2 * (du**2).sum(axis=1),
-                                 FLOW_GRADIENT_FLOOR))
+    v = 1.0 / np.sqrt(np.maximum(1 - w**2 * (du**2).sum(axis=1), CONE_FLOOR))
     D = m * phi * v
     K = SF.tangent_stiffness(mesh, u)
 

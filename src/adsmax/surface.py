@@ -412,8 +412,7 @@ def chi_residual(sd: ShapeData):
     chi = np.zeros(mesh.n_vertices)
     chi[chi_mask] = np.log(-detB[chi_mask]) / 4.0
 
-    Ifield = np.where(np.isfinite(sd.I), sd.I, np.eye(2))
-    K, mass = _metric_operator(mesh, Ifield)
+    K, mass = _metric_operator(mesh, sd.I)
 
     t = CHI_SMOOTH_WIDTH**2 / 2
     heat = spla.splu((sp.diags(mass) + t * K).tocsc(),
@@ -490,22 +489,6 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
         radius *= 0.95
         mesh = make_mesh(radius, mesh.n_rings, mesh.n_angular)
     raise ValueError("could not certify a clipped horosphere graph")
-
-
-def horosphere_principal_frames(mesh: DiskMesh):
-    """Coordinate directions (d sigma, d beta pullbacks) of the horosphere
-    parameterization, as unit Euclidean vectors per vertex (for alignment
-    audits of the curvature foliations)."""
-    y = mesh.vertices
-    h = L.poincare_to_hyperboloid(y)
-    # gradients of sigma, beta in y via the chain rule through h1, h2, with
-    # dh[:, j, a] = d h_a / d y_j read off the chart frame at t = 0
-    dh = chart_frame(y, 0.0)[:, :2]
-    gs = dh[:, :, 0] * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 0] ** 2))[:, None]
-    gb = dh[:, :, 1] * (np.sqrt(2) / np.sqrt(1 + 2 * h[:, 1] ** 2))[:, None]
-    gs /= np.linalg.norm(gs, axis=1)[:, None]
-    gb /= np.linalg.norm(gb, axis=1)[:, None]
-    return gs, gb
 
 
 def equidistant_prediction(k0, r):

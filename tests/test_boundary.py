@@ -51,7 +51,7 @@ class TestCircleHomeo:
         y = x.copy()
         y[3], y[4] = y[4], y[3]
         with pytest.raises(ValueError):
-            B.CircleHomeo(x, y)
+            B.CircleHomeo.from_knots(x, y)
 
     def test_interpolant_monotone(self):
         # PCHIP between strictly increasing knots stays strictly increasing
@@ -59,7 +59,7 @@ class TestCircleHomeo:
         x = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         y = np.cumsum(rng.uniform(0.01, 1.0, 32))
         y = y / y[-1] * (2 * np.pi - 0.1)
-        f = B.CircleHomeo(x, y)
+        f = B.CircleHomeo.from_knots(x, y)
         s = np.linspace(0, 2 * np.pi, 2000)
         F = f.lift(s)
         assert np.all(np.diff(F) >= 0)
@@ -69,22 +69,33 @@ class TestCircleHomeo:
         x = np.linspace(-5, 5, 30)
         assert np.allclose(f.lift(x + 2 * np.pi), f.lift(x) + 2 * np.pi, atol=1e-12)
 
+    def test_sampled_lift_has_degree_one(self):
+        rng = np.random.default_rng(7)
+        x = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        y = np.cumsum(rng.uniform(0.01, 1.0, 32))
+        f = B.CircleHomeo.from_knots(x, y / y[-1] * (2 * np.pi - 0.1))
+        s = np.linspace(-5, 5, 301)
+        assert np.allclose(f.lift(s + 2 * np.pi), f.lift(s) + 2 * np.pi, atol=1e-12)
+
 
 class TestFamilies:
     def test_step_zero_is_identity(self):
-        assert B.step_family(0.0).is_identity()
+        x = np.linspace(-5, 5, 101)
+        assert np.array_equal(B.step_family(0.0).lift(x), x)
 
     def test_step_monotone_knots(self):
+        x = np.linspace(0, 2 * np.pi, 256, endpoint=False)
         for k in (0.25, 0.5, 0.75, 0.9, 0.99):
-            f = B.step_family(k)
-            assert np.all(np.diff(f.knots_y) > 0)
+            assert np.all(np.diff(B.step_family(k).lift(x)) > 0)
 
     def test_step_out_of_range(self):
         with pytest.raises(ValueError):
             B.step_family(1.0)
 
     def test_mobius_identity(self):
-        assert B.mobius_boundary(L.MobiusMap.identity()).is_identity()
+        x = np.linspace(-5, 5, 101)
+        f = B.mobius_boundary(L.MobiusMap.identity())
+        assert np.abs(f.lift(x) - x).max() < 1e-12
 
     def test_bump_monotone(self):
         f = B.bump_family(0.8)
@@ -131,9 +142,8 @@ class TestQsModulus:
         f = B.step_family(0.5)
         base = B.qs_modulus(f)
         m1, m2 = L.random_mobius(rng, 0.3), L.random_mobius(rng, 0.3)
-        comp = B.CircleHomeo.from_lift(
-            lambda x: m1.apply_angle_lift(f.lift(m2.apply_angle_lift(x))), 512
-        )
+        comp = B.CircleHomeo(
+            lambda x: m1.apply_angle_lift(f.lift(m2.apply_angle_lift(x))))
         # composed map is quasi-symmetric with the same true modulus; sampled
         # values agree within the stratification tolerance
         assert B.qs_modulus(comp) == pytest.approx(base, rel=0.2)
@@ -168,7 +178,7 @@ class TestLiftGraph:
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         y = np.cumsum(rng.uniform(0.01, 1.0, 64))
         y = y / (y[-1] + 0.5) * 2 * np.pi
-        c = B.lift_graph(B.CircleHomeo(x, y), 512)
+        c = B.lift_graph(B.CircleHomeo.from_knots(x, y), 512)
         dth = np.diff(np.concatenate([c.theta, [c.theta[0] + 2 * np.pi]]))
         dta = np.diff(np.concatenate([c.tau, [c.tau[0]]]))
         assert np.all(np.abs(dta) <= np.abs(dth) + 1e-9)
@@ -188,9 +198,8 @@ class TestLiftGraph:
         rng = np.random.default_rng(6)
         f = B.step_family(0.3)
         m1, m2 = L.random_mobius(rng, 0.4), L.random_mobius(rng, 0.4)
-        comp = B.CircleHomeo.from_lift(
-            lambda x: m1.apply_angle_lift(f.lift(m2.apply_angle_lift(x))), 512
-        )
+        comp = B.CircleHomeo(
+            lambda x: m1.apply_angle_lift(f.lift(m2.apply_angle_lift(x))))
         c1 = B.lift_graph(comp, 800)
         c2 = B.lift_graph(f, 800).transform(L.Isometry3(m2.inverse(), m1))
         dev = np.angle(np.exp(1j * (c1.tau_of_theta(c2.theta) - c2.tau)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adsmax import lorentz as L
+from adsmax import surface as SF
 
 
 def random_quadric_point(rng):
@@ -140,7 +141,9 @@ class TestGeodesics:
         s, s2 = 0.4, 0.9
         q1 = L.geodesic_exp(p, v, s + s2)
         mid = L.geodesic_exp(p, v, s)
-        vmid = L.parallel_along_timelike(p, v, s)
+        # the transported tangent -sin(s) p + cos(s) v is the point a
+        # quarter period further on
+        vmid = L.geodesic_exp(p, v, s + np.pi / 2)
         q2 = L.geodesic_exp(mid, vmid, s2)
         assert np.allclose(q1, q2, atol=1e-10)
 
@@ -197,7 +200,7 @@ class TestSeparation:
             s1 = rng.uniform(0.05, 1.0)
             q = L.geodesic_exp(p, v, s1)
             w = random_unit_tangent(rng, q, "timelike")
-            w = np.sign(-L.inner(w, L.parallel_along_timelike(p, v, s1))) * w
+            w = np.sign(-L.inner(w, L.geodesic_exp(p, v, s1 + np.pi / 2))) * w
             s2 = rng.uniform(0.05, min(1.0, np.pi - s1 - 0.1))
             r = L.geodesic_exp(q, w, s2)
             k1, d_pq = L.lorentz_separation(p, q)
@@ -211,18 +214,17 @@ class TestSeparation:
             assert d_pr >= d_pq + d_qr - 1e-9
 
 
-class TestDuality:
-    def test_reference_dual(self):
-        # the plane dual to e3 is {x3 = 0}: sampled points have zero third
-        # coordinate
-        pts = L.plane_points(np.array([0.0, 0, 1, 0]), np.linspace(0, 1.5, 5),
-                             np.linspace(0, 6, 5))
-        assert np.abs(pts[..., 2]).max() < 1e-12
+def plane_points(q, rng, n):
+    """n points of the plane dual to q, on its graph over the disk."""
+    y = rng.uniform(-0.6, 0.6, (n, 2))
+    return L.cyl_to_quadric(y, L.plane_graph_height(q, y))
 
+
+class TestDuality:
     def test_sampled_separation_pi_half(self):
         rng = np.random.default_rng(16)
         p = random_quadric_point(rng)
-        pts = L.plane_points(p, rng.uniform(0, 2, 25), rng.uniform(0, 7, 25))
+        pts = plane_points(p, rng, 25)
         for z in pts:
             kind, val = L.lorentz_separation(p, z)
             assert kind == "timelike"
@@ -370,7 +372,7 @@ class TestPlaneMobius:
         g = L.random_isometry(rng, 0.7)
         q = L.apply_isometry(g, L.E4)
         phil, phir = L.leftright_to_P0(q)
-        pts = L.plane_points(q, rng.uniform(0, 2, 20), rng.uniform(0, 7, 20))
+        pts = plane_points(q, rng, 20)
         for iso in (phil, phir):
             img = L.apply_isometry(iso, pts)
             assert np.abs(L.inner(img, L.E4)).max() < 1e-9
@@ -381,7 +383,8 @@ class TestPlaneMobius:
         q = L.apply_isometry(g, L.E4)
         phil, _ = L.leftright_to_P0(q)
         th = np.linspace(0, 2 * np.pi, 9)[:-1]
-        v = L.null_from_angles(th, L.plane_boundary_tau(q, th))
+        # the ideal boundary of the plane dual to g E4 is g of the equator
+        v = L.apply_isometry(g, L.null_from_angles(th, 0 * th))
         xi, _ = L.ruling_coords(v)
         xi2, eta2 = L.ruling_coords(L.apply_isometry(phil, v))
         assert np.abs(np.angle(np.exp(1j * (xi2 - xi)))).max() < 1e-9
@@ -395,5 +398,8 @@ class TestPlaneMobius:
         y = rng.uniform(-0.5, 0.5, (40, 2))
         t = L.plane_graph_height(q, y, branch=-1)
         assert np.abs(L.inner(L.cyl_to_quadric(y, t), q)).max() < 1e-10
-        v = L.plane_gradient_function(q, y)
+        # the gradient function is -<nu, T> for the unit normal nu = q and
+        # the unit time direction T
+        T = SF.chart_frame(y, t)[:, 2]
+        v = -L.inner(q, T) / np.sqrt(-L.inner(T, T))
         assert v.min() >= 1.0 - 1e-12
