@@ -276,11 +276,12 @@ class MobiusMap:
 
     def apply_angle_lift(self, beta):
         """Monotone lift of apply_angle: continuous, beta+2pi -> value+2pi."""
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        beta = np.asarray(beta, dtype=float)
         raw = self.apply_angle(np.mod(beta, 2 * np.pi))
         base = self.apply_angle(0.0)
         lifted = np.mod(raw - base, 2 * np.pi) + base
-        return lifted + 2 * np.pi * np.floor(beta / (2 * np.pi))
+        out = lifted + 2 * np.pi * np.floor(beta / (2 * np.pi))
+        return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)

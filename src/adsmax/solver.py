@@ -15,10 +15,15 @@ margin and on non-inflation of the residual.
 Dirichlet data is the curve's radial trace tau(theta) on the boundary ring;
 this replaces the hull-restriction trace, which has the same asymptotic
 limit.  Initial data is the midsurface of the exact hull heights, with no
-smoothing pass, slope-limited into the spacelike cone.  Exhaustion solves
-on growing disks with warm starts resampled in polar coordinates; only the
-last disks matter to the limit, so a stage whose start cannot be made
-spacelike is skipped.
+smoothing pass, slope-limited into the spacelike cone.
+
+One disk solves by default, and the hull certifies its cut-off.  The graph
+over the whole plane and the graph over the disk are both maximal over the
+disk, with rim values in the hull interval [t_lo, t_hi]; time translations
+are isometries, so by comparison they differ by at most the rim gap
+max (t_hi - t_lo), which the start already computes.  A multi-stage config
+solves growing disks, each warm-started from the last in polar
+coordinates; a stage whose start cannot be made spacelike is skipped.
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ class SolveRejected(RuntimeError):
 
 @dataclass
 class SolveConfig:
-    stages: tuple = ((1.4, 12, 40), (2.2, 20, 64), (3.0, 26, 84))
+    # (radius, n_rings, n_angular) per disk; one disk by default, since its
+    # truncation bound (the rim gap of the hull) is reported with the solve
+    stages: tuple = ((3.0, 26, 84),)
     tol_H: ClassVar[float] = MEAN_CURV_TOL
 
     def __post_init__(self):
@@ -115,8 +122,9 @@ def boundary_trace(curve: BD.BoundaryCurve, mesh: MS.DiskMesh):
 
 def _hull_midsurface(curve, chull, mesh, at):
     """(lower + upper hull heights)/2 at the vertices `at`, a mask or slice
-    that holds the whole rim; rim vertices take the radial boundary trace
-    clamped into the hull interval.
+    that holds the whole rim, and the rim gap max (t_hi - t_lo) over the
+    rim; rim vertices take the radial boundary trace clamped into the hull
+    interval.
 
     At a finite radius the raw radial trace can stick out of the hull by an
     amount that vanishes as the radius grows; clamping restores the
@@ -127,17 +135,18 @@ def _hull_midsurface(curve, chull, mesh, at):
     u = 0.5 * (t_lo + t_hi)
     rim = mesh.boundary_mask[at]
     u[rim] = np.clip(boundary_trace(curve, mesh), t_lo[rim], t_hi[rim])
-    return u
+    return u, float((t_hi[rim] - t_lo[rim]).max())
 
 
 def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
-                  chull: HU.ConvexHull3 | None = None) -> SF.SpacelikeGraph:
-    """Hull-midsurface start, then slope limiting.  No smoothing pass: a
-    neighbour average of the exact midsurface can lose more margin than
-    slope limiting wins back."""
+                  chull: HU.ConvexHull3 | None = None):
+    """Hull-midsurface start, then slope limiting; returns the start and
+    the rim gap of the hull.  No smoothing pass: a neighbour average of the
+    exact midsurface can lose more margin than slope limiting wins back."""
     chull = chull if chull is not None else HU.convex_hull(curve)
-    u0 = slope_limit(mesh, _hull_midsurface(curve, chull, mesh, slice(None)))
-    return SF.SpacelikeGraph.certify(mesh, u0, floor=0.0)
+    u0, rim_gap = _hull_midsurface(curve, chull, mesh, slice(None))
+    return SF.SpacelikeGraph.certify(mesh, slope_limit(mesh, u0),
+                                     floor=0.0), rim_gap
 
 
 def _interior_solve(K, rhs, interior):
@@ -235,7 +244,7 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
              cfg: SolveConfig | None = None) -> FlowState:
     """Run the flow until sup|H| < tol_H or the step budget is exhausted."""
     cfg = cfg or SolveConfig()
-    S = initial_graph(curve, mesh)
+    S, _ = initial_graph(curve, mesh)
     h_min = float(np.sqrt(2 * mesh.fem["area"].min()))
     state = FlowState(surface=S, s=0.0, ds=h_min**2 / 4.0, u0=S.u.copy())
     supH, _, _ = residual_norms(mesh, state.surface.u)
@@ -274,68 +283,80 @@ def flow_bound_checks(state: FlowState):
 
 def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig):
     """Newton iteration on F(u) = 0 with an area line search kept inside
-    the spacelike cone.  Returns (u, info)."""
+    the spacelike cone.  Returns (u, info); info["sup_H"] is sup |H| at the
+    returned u."""
     u = np.asarray(u0, dtype=float).copy()
     interior = mesh.interior_mask
     hist = []
     stagnant = 0
+    area0 = None  # area of u, carried over from the accepted trial
     for it in range(MAX_NEWTON):
         supH, F, margins = residual_norms(mesh, u)
         hist.append({"iter": it, "sup_H": supH,
                      "margin": float(margins.min())})
         if supH < cfg.tol_H:
-            return u, {"converged": True, "iterations": it, "history": hist}
+            return u, {"converged": True, "iterations": it, "sup_H": supH,
+                       "history": hist}
         K = SF.tangent_stiffness(mesh, u)
         delta = _interior_solve(K, -F, interior)
-        area0 = SF.graph_area(mesh, u)
+        if area0 is None:
+            area0 = SF.graph_area(mesh, u)
         alpha = 1.0
-        accepted = False
         for _ in range(LINE_SEARCH_HALVINGS):
             u_try = u + alpha * delta
-            if (SF.triangle_margins(mesh, u_try).min() > 0
-                    and SF.graph_area(mesh, u_try)
-                    >= area0 - AREA_ROUNDOFF * abs(area0)):
-                accepted = True
-                break
+            if SF.triangle_margins(mesh, u_try).min() > 0:
+                area = SF.graph_area(mesh, u_try)
+                if area >= area0 - AREA_ROUNDOFF * abs(area0):
+                    break
             alpha *= 0.5
-        if accepted:
-            u = u_try
-            stagnant = stagnant + 1 if alpha < STAGNATION_STEP else 0
-        if not accepted or stagnant >= STAGNATION_COUNT:
+        else:
+            return u, {"converged": False, "iterations": it, "sup_H": supH,
+                       "history": hist, "stagnated": True}
+        u, area0 = u_try, area
+        stagnant = stagnant + 1 if alpha < STAGNATION_STEP else 0
+        if stagnant >= STAGNATION_COUNT:
+            # the last history entry belongs to the previous u
             return u, {"converged": False, "iterations": it,
+                       "sup_H": residual_norms(mesh, u)[0],
                        "history": hist, "stagnated": True}
     supH, _, _ = residual_norms(mesh, u)
     return u, {"converged": supH < cfg.tol_H, "iterations": MAX_NEWTON,
-               "history": hist}
+               "sup_H": supH, "history": hist}
 
 
 def warm_start(curve, mesh, prev_mesh, prev_u, chull):
     """Interpolate the previous stage in polar coordinates inside
     WARM_START_FRAC of its radius, take the hull midsurface on the other
-    vertices and the rim, and limit the slopes once."""
+    vertices and the rim, and limit the slopes once.  Returns the start and
+    the rim gap of the hull."""
     inside = mesh.rho <= prev_mesh.radius * WARM_START_FRAC
     inside &= mesh.interior_mask
     u0 = np.empty(mesh.n_vertices)
     u0[inside] = MS.interpolate_polar(prev_mesh, prev_u,
                                       mesh.rho[inside], mesh.theta[inside])
-    u0[~inside] = _hull_midsurface(curve, chull, mesh, ~inside)
-    return slope_limit(mesh, u0)
+    u0[~inside], rim_gap = _hull_midsurface(curve, chull, mesh, ~inside)
+    return slope_limit(mesh, u0), rim_gap
 
 
 def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
-    """Exhaustion Newton solve; returns (SpacelikeGraph, report).
+    """Newton solve on the disks of `cfg.stages`; returns
+    (SpacelikeGraph, report).
 
     Boundary data whose hull width reaches pi/2 (lightlike segments in the
-    closure) is rejected with the width diagnostic.  Each stage starts from
-    the hull midsurface, or from the last solved stage, and runs Newton
-    once.  A stage whose start cannot be made spacelike is skipped, and its
-    radius goes to `skipped`; if that stage is the last one, the data is
-    rejected with the width diagnostic.  A stage whose Newton run stalls is
-    reported with
-    `converged` false; there is no fallback.  The report records per-stage
-    Newton histories and hull containment (`hull_margin`, once per stage;
-    the top-level value is the last stage's), and the Cauchy differences of
-    consecutive solved stages on their common interior.
+    closure) is rejected with the width diagnostic.  The default config has
+    one disk, which starts from the hull midsurface.  In a multi-stage
+    config each later disk starts from the last solved one.  Newton runs
+    once per disk.  A stage whose start cannot be made spacelike is skipped,
+    and its radius goes to `skipped`; if that stage is the last one, the
+    data is rejected with the width diagnostic.  A stage whose Newton run
+    stalls is reported with `converged` false; there is no fallback.
+
+    The report records per-stage Newton histories and hull containment
+    (`hull_margin`, once per stage; the top-level value is the last
+    stage's), `final_sup_H` of the returned surface, the Cauchy differences
+    of consecutive solved stages on their common interior, and
+    `truncation_bound`: the last disk's rim gap max (t_hi - t_lo), which
+    bounds how far cutting the data off at its radius moves the surface.
     """
     cfg = cfg or SolveConfig()
     chull = HU.convex_hull(curve)
@@ -361,9 +382,11 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         mesh = MS.make_mesh(radius, n_rings, n_angular)
         try:
             if prev_mesh is None:
-                u0 = initial_graph(curve, mesh, chull).u
+                S0, rim_gap = initial_graph(curve, mesh, chull)
+                u0 = S0.u
             else:
-                u0 = warm_start(curve, mesh, prev_mesh, prev_u, chull)
+                u0, rim_gap = warm_start(curve, mesh, prev_mesh, prev_u,
+                                         chull)
         except SolveRejected as exc:
             if i == last:
                 raise SolveRejected(str(exc), width_report=wrep) from exc
@@ -384,7 +407,8 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
                 float(np.abs(vals - prev_u[common]).max()))
         prev_mesh, prev_u = mesh, u
     S = SF.SpacelikeGraph.certify(prev_mesh, prev_u, floor=0.0)
-    report["final_sup_H"] = residual_norms(prev_mesh, prev_u)[0]
+    report["final_sup_H"] = report["stages"][-1]["sup_H"]
+    report["truncation_bound"] = rim_gap
     report["hull_margin"] = report["stages"][-1]["hull_margin"]
     report["converged"] = bool(report["stages"][-1]["converged"])
     return S, report

@@ -106,6 +106,20 @@ class TestFamilies:
         with pytest.raises(ValueError):
             B.bump_family(1.0)
 
+    @pytest.mark.parametrize("f", [
+        B.mobius_boundary(L.random_mobius(np.random.default_rng(2), 0.5)),
+        B.step_family(0.5),
+        B.bump_family(0.3),
+        B.CircleHomeo.from_knots(np.linspace(0, 2 * np.pi, 8, endpoint=False),
+                                 np.linspace(0.1, 2 * np.pi + 0.1, 8,
+                                             endpoint=False)),
+    ], ids=["mobius", "step", "bump", "knots"])
+    def test_scalar_in_float_out_shape_kept(self, f):
+        assert type(f.lift(0.5)) is float and type(f(0.5)) is float
+        x = np.linspace(-5, 5, 6).reshape(2, 3)
+        assert f.lift(x).shape == f(x).shape == (2, 3)
+        assert f.lift(x[:1, :1]).shape == (1, 1)
+
 
 class TestQsModulus:
     def test_identity_is_one(self):

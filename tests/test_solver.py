@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from adsmax import boundary as B
+from adsmax import hull as HU
 from adsmax import lorentz as L
 from adsmax import mesh as MM
 from adsmax import solver as SV
 from adsmax import surface as SF
 
 SMALL = SV.SolveConfig(stages=((1.4, 8, 24), (2.0, 10, 32)))
+THREE_STAGES = ((1.4, 12, 40), (2.2, 20, 64), (3.0, 26, 84))
 
 
 def mobius_plane(m):
@@ -40,6 +42,8 @@ class TestSolveMaximal:
             for b in (-1, 1))
         # cutting the data off at radius R moves the rim trace by O(e^{-2R})
         assert dev < np.exp(-2.0 * mesh.radius)
+        # the hull is the plane, so the cut-off moves nothing
+        assert rep["truncation_bound"] <= 1e-12
 
     @pytest.mark.parametrize("amplitude", [0.05, 0.3])
     def test_gentle_bump_keeps_its_data(self, amplitude):
@@ -64,12 +68,24 @@ class TestSolveMaximal:
     @pytest.mark.parametrize("kappa, skipped",
                              [(0.7, [1.4]), (0.8, [1.4, 2.2])])
     def test_steep_step_skips_its_first_stages(self, kappa, skipped):
-        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(kappa), 128))
+        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(kappa), 128),
+                                  SV.SolveConfig(stages=THREE_STAGES))
         assert rep["converged"]
         assert rep["skipped"] == skipped
-        radii = [s[0] for s in SV.SolveConfig().stages]
+        radii = [s[0] for s in THREE_STAGES]
         assert [s["radius"] for s in rep["stages"]] == [
             r for r in radii if r not in skipped]
+        sd = SF.shape_data(S)
+        k = np.concatenate([sd.k1[sd.mask], sd.k2[sd.mask]])
+        assert np.isfinite(k).all() and np.abs(k).max() < 1.0
+
+    @pytest.mark.parametrize("kappa", [0.7, 0.8])
+    def test_default_solves_steep_steps_in_one_stage(self, kappa):
+        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(kappa), 128))
+        assert rep["converged"]
+        assert rep["skipped"] == []
+        assert [s["radius"] for s in rep["stages"]] == [
+            s[0] for s in SV.SolveConfig().stages] == [S.mesh.radius]
         sd = SF.shape_data(S)
         k = np.concatenate([sd.k1[sd.mask], sd.k2[sd.mask]])
         assert np.isfinite(k).all() and np.abs(k).max() < 1.0
@@ -95,6 +111,57 @@ class TestSolveMaximal:
         assert stage["history"][0]["sup_H"] >= cfg.tol_H
         assert not stage["converged"]
         assert not rep["converged"]
+
+    def test_final_sup_H_is_read_at_the_returned_surface(self, monkeypatch):
+        # every accepted step counts as stagnant, so Newton stops after its
+        # first step, whose residual its history does not hold
+        monkeypatch.setattr(SV, "STAGNATION_STEP", 2.0)
+        monkeypatch.setattr(SV, "STAGNATION_COUNT", 1)
+        cfg = SV.SolveConfig(stages=((1.4, 8, 24),))
+        S, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.3), 128), cfg)
+        stage = rep["stages"][0]
+        assert stage["stagnated"] and len(stage["history"]) == 1
+        assert rep["final_sup_H"] == SV.residual_norms(S.mesh, S.u)[0]
+        assert rep["final_sup_H"] < stage["history"][0]["sup_H"]
+
+
+class TestTruncationBound:
+    # P1 elements on obtuse cells have no discrete maximum principle, so the
+    # comparison order is read with this slack (0.03 % of the rim gap here)
+    ORDER_SLACK = 1e-6
+
+    @pytest.fixture(scope="class")
+    def step(self):
+        c = B.lift_graph(B.step_family(0.5), 128)
+        S, rep = SV.solve_maximal(c)
+        lo, hi = HU.hull_heights(HU.convex_hull(c), S.mesh.vertices)
+        return S, rep, lo, hi
+
+    def test_bound_is_the_rim_gap(self, step):
+        S, rep, lo, hi = step
+        rim = S.mesh.boundary_mask
+        assert rep["truncation_bound"] == (hi - lo)[rim].max()
+        assert rep["truncation_bound"] > 0.0
+
+    def test_hull_rim_values_enclose_the_solution(self, step):
+        # time translations are isometries: maximal graphs with rim values
+        # t_lo and t_hi enclose the solution, whose rim lies between them
+        S, rep, lo, hi = step
+        mesh = S.mesh
+        rim = mesh.boundary_mask
+        sols = []
+        for t in (lo, hi):
+            u0 = S.u.copy()
+            u0[rim] = t[rim]
+            u, info = SV.newton_solve(mesh, SV.slope_limit(mesh, u0),
+                                      SV.SolveConfig())
+            assert info["converged"]
+            sols.append(u)
+        u_lo, u_hi = sols
+        assert np.all(u_lo <= S.u + self.ORDER_SLACK)
+        assert np.all(S.u <= u_hi + self.ORDER_SLACK)
+        gap = (u_hi - u_lo)[mesh.interior_mask].max()
+        assert gap <= rep["truncation_bound"] + self.ORDER_SLACK
 
 
 class TestInteriorSolve:
