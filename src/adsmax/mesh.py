@@ -16,6 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .constants import MESH_GRADING, RING_SPAN_TOL
 
@@ -28,8 +29,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DiskMesh:
     """A triangulated disk.  Data derived from the mesh alone (edges,
-    stencils, FEM geometry) is computed on first use and cached on the
-    instance, read-only, so it lives exactly as long as the mesh."""
+    stencils, FEM geometry, the factored start fill) is computed on first
+    use and cached on the instance, read-only, so it lives exactly as long
+    as the mesh."""
 
     vertices: np.ndarray      # (N,2) Poincare coordinates
     triangles: np.ndarray     # (M,3) CCW
@@ -52,6 +54,11 @@ class DiskMesh:
     @property
     def interior_mask(self) -> np.ndarray:
         return ~self.boundary_mask
+
+    @property
+    def rim_strip(self) -> np.ndarray:
+        """The rim ring and the ring inside it: every vertex of a rim cell."""
+        return self.ring_index >= self.n_rings - 1
 
     def deep_interior_mask(self, rings: int = 2) -> np.ndarray:
         """Vertices at least `rings` rings away from the boundary."""
@@ -92,6 +99,24 @@ class DiskMesh:
         A2 = (A + A @ A).tocoo()
         keep = A2.row != A2.col
         return _read_only(np.stack([A2.row[keep], A2.col[keep]], axis=-1))
+
+    @cached_property
+    def strip_fill(self):
+        """Map from values on `rim_strip` to the P1 solution of
+        div(phi^2 grad u) = 0 off the strip with those Dirichlet values.
+        This is the maximal equation linearised at u = 0: the matrix is the
+        tangent stiffness at the zero graph, entry for entry.  Its off-strip
+        block is factored once per mesh (fill-reducing order on A^T + A, as
+        the Newton solves take it)."""
+        g = self.fem
+        c1 = (g["phiq"] ** 2).sum(axis=1) / 3.0
+        K = p1_matrix(self, lambda ga, gb: g["area"] * (
+            c1 * (ga * gb).sum(axis=1)))
+        strip = self.rim_strip
+        off = K[~strip]
+        lu = spla.splu(off[:, ~strip].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        coupling = off[:, strip]
+        return lambda u_strip: lu.solve(-(coupling @ u_strip))
 
     @cached_property
     def fem(self) -> MappingProxyType:

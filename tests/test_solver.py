@@ -124,6 +124,58 @@ class TestSolveMaximal:
         assert rep["final_sup_H"] == SV.residual_norms(S.mesh, S.u)[0]
         assert rep["final_sup_H"] < stage["history"][0]["sup_H"]
 
+    def test_shared_config_reuses_its_disk_and_keeps_no_state(self):
+        # a config builds its disks once; solves on it match solves on
+        # fresh equal configs bit for bit, whatever was solved before
+        curves = [B.lift_graph(B.step_family(0.5), 128),
+                  B.lift_graph(B.bump_family(0.3), 128)]
+        cfg = SV.SolveConfig()
+        shared = [SV.solve_maximal(c, cfg) for c in (*curves, curves[0])]
+        assert all(S.mesh is cfg.meshes[0] for S, _ in shared)
+        for c, (S, rep) in zip((*curves, curves[0]), shared):
+            S_new, rep_new = SV.solve_maximal(c, SV.SolveConfig())
+            assert S_new.mesh is not S.mesh
+            assert np.array_equal(S_new.u, S.u)
+            assert rep_new == rep
+
+    def test_steepest_step_solves_at_radius_4_2(self):
+        # the start carries the hull on the whole rim strip; filled inward
+        # from the rim ring alone, this start cannot be made spacelike and
+        # the data is rejected
+        cfg = SV.SolveConfig(stages=((4.2, 38, 124),))
+        _, rep = SV.solve_maximal(B.lift_graph(B.step_family(0.9), 512), cfg)
+        assert rep["converged"] and rep["skipped"] == []
+        assert rep["stages"][0]["iterations"] <= 4
+
+    # the two-step curve's sampled width rises to pi/2 with the sample
+    # count: 1.5700 at 4096 samples passes the width gate, while at 128
+    # samples (1.546) its lightlike cells reject it
+    @pytest.mark.parametrize("curve, reason", [
+        (B.two_step_curve(4096), "width"),
+        (B.two_step_curve(128), "lightlike_segment"),
+        (B.lift_graph(B.step_family(0.9), 128), "slope_limit"),
+    ])
+    def test_rejection_carries_its_reason(self, curve, reason):
+        with pytest.raises(SV.SolveRejected) as exc:
+            SV.solve_maximal(curve)
+        assert exc.value.reason == reason
+        assert exc.value.width_report is not None
+
+
+class TestStartFill:
+    def test_fill_solves_the_zero_graph_tangent_system(self):
+        # the fill's matrix is the tangent stiffness at u = 0, bit for bit
+        m = MM.make_mesh(3.0, 26, 84)
+        strip = m.rim_strip
+        u = np.zeros(m.n_vertices)
+        u[strip] = np.cos(3 * m.theta[strip]) * m.rho[strip]
+        K = SF.tangent_stiffness(m, np.zeros(m.n_vertices))
+        off = ~strip
+        ref = spla.splu(K[off][:, off].tocsc(),
+                        permc_spec="MMD_AT_PLUS_A").solve(
+            -(K[off][:, strip] @ u[strip]))
+        assert np.array_equal(m.strip_fill(u[strip]), ref)
+
 
 class TestTruncationBound:
     # P1 elements on obtuse cells have no discrete maximum principle, so the
@@ -142,6 +194,24 @@ class TestTruncationBound:
         rim = S.mesh.boundary_mask
         assert rep["truncation_bound"] == (hi - lo)[rim].max()
         assert rep["truncation_bound"] > 0.0
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5])
+    def test_bound_falls_like_exp_minus_2R(self, kappa):
+        # the rim sits at Euclidean distance 1 - tanh(R/2) = 2e^{-R}(1 +
+        # O(e^{-R})) from the circle, and the hull closes quadratically onto
+        # the curve, so the rim gap is C e^{-2R} (1 + O(e^{-R})).  Over a
+        # step of 0.6 in R the gap falls by e^{-1.2}, up to a relative
+        # error taken as e^{-R} at the smaller radius (5 % at R = 3.0)
+        chull = HU.convex_hull(B.lift_graph(B.step_family(kappa), 512))
+        stages = ((3.0, 26, 84), (3.6, 32, 104), (4.2, 38, 124))
+        gaps = []
+        for stage in stages:
+            m = MM.make_mesh(*stage)
+            lo, hi = HU.hull_heights(chull, m.vertices[m.boundary_mask])
+            gaps.append((hi - lo).max())
+        for (r0, _, _), (r1, _, _), g0, g1 in zip(stages, stages[1:], gaps,
+                                                  gaps[1:]):
+            assert abs(g1 / g0 / np.exp(-2.0 * (r1 - r0)) - 1) <= np.exp(-r0)
 
     def test_hull_rim_values_enclose_the_solution(self, step):
         # time translations are isometries: maximal graphs with rim values
