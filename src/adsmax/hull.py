@@ -8,6 +8,11 @@ The width is the supremum of timelike separation between the past and the
 future boundary.  Facets are ideal triangles, so that sup lies on a pair of
 edges, whole spacelike geodesics between curve samples, where it has a closed
 form in the quadric model (see `width`).
+
+The dense kernels, the width's (past edges x future edges) table and the
+facet margins of many points, run HULL_BLOCK_ROWS rows at a time into
+buffers reused from block to block, so the width holds one table of doubles
+and the margins none.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from scipy.spatial import QhullError
 from . import lorentz as L
 from .boundary import BoundaryCurve
 from .constants import (
-    HEIGHT_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL, WIDTH_WIDEN)
+    HULL_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL, WIDTH_WIDEN)
 from .mesh import DiskMesh
 
 
@@ -36,7 +41,7 @@ class ConvexHull3:
     labels: np.ndarray | None      # (F,): -1 past, 0 vertical, +1 future
 
     def facet_margins(self, z):
-        """Signed distances of chart point(s) z to all facet planes
+        """Signed distances of chart point(s) z to the nearest facet plane
         (positive inside); planar hulls measure in-plane margins minus the
         off-plane deviation."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -49,15 +54,25 @@ class ConvexHull3:
             off = np.abs(zz @ nrm)
             uv = np.stack([zz @ b1, zz @ b2], axis=-1)
             flat = np.stack([q @ b1, q @ b2], axis=-1)
-            hull2 = QHull(flat)
-            m2 = -(uv @ hull2.equations[:, :2].T + hull2.equations[:, 2])
-            m2 /= np.linalg.norm(hull2.equations[:, :2], axis=1)
-            return m2.min(axis=1) - off
-        a = self.equations[:, :3]
-        m = z @ a.T
-        m += self.equations[:, 3]
-        m /= -np.linalg.norm(a, axis=1)
-        return m.min(axis=1)
+            return _least_margins(uv, QHull(flat).equations) - off
+        return _least_margins(z, self.equations)
+
+
+def _least_margins(x, eq):
+    """Least signed distance -(a.x + b) / |a| of each point x (N, d) over
+    the half-spaces a.x + b <= 0 in the rows of eq (F, d + 1).  Rows of x
+    run HULL_BLOCK_ROWS at a time, so no (N, F) table is built."""
+    a = eq[:, :-1]
+    neg_norm = -np.linalg.norm(a, axis=1)
+    out = np.empty(len(x))
+    buf = np.empty((min(HULL_BLOCK_ROWS, len(x)), len(eq)))
+    for lo in range(0, len(x), HULL_BLOCK_ROWS):
+        xb = x[lo:lo + HULL_BLOCK_ROWS]
+        m = np.matmul(xb, a.T, out=buf[:len(xb)])
+        m += eq[:, -1]
+        m /= neg_norm
+        m.min(axis=1, out=out[lo:lo + HULL_BLOCK_ROWS])
+    return out
 
 
 def _recentered_samples(curve: BoundaryCurve):
@@ -101,10 +116,11 @@ class WidthReport:
 
 def _edges(hull: ConvexHull3, label: int):
     """(2, E) sample indices of the edges of the facets with the given label,
-    each edge once."""
-    tri = hull.simplices[hull.labels == label]
-    e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
-    return np.unique(np.sort(e, axis=1), axis=0).T
+    each edge once, in lexicographic order: edge (a, b), a < b, is the
+    key a n + b."""
+    t = np.sort(hull.simplices[hull.labels == label], axis=1).T.astype(np.int64)
+    n = len(hull.points)
+    return np.array(np.divmod(np.unique(t[[0, 1, 0]] * n + t[[1, 2, 2]]), n))
 
 
 def _edge_point(z, p, q, s):
@@ -130,7 +146,15 @@ def width(hull: ConvexHull3) -> WidthReport:
     e^{2(s+r)} = D/A and e^{2(s-r)} = C/B.  The width is the arccos of the
     least such value over the edge pairs whose minimisers are timelike and in
     causal order (chart time is a time function).  A pair sharing a sample
-    has a vanishing coefficient and its separation tends to 0; it is skipped.
+    has a coefficient that vanishes up to round-off, so its separation tends
+    to 0.  It is not skipped: when that coefficient rounds above 0 the pair
+    passes the positivity test, and 3 to 12 such pairs per curve of the
+    width benchmark do, but their value lies within 3e-11 of 1, so they
+    never set a width above round-off level (about 1e-5).
+
+    The table is built HULL_BLOCK_ROWS past edges at a time, and the logs a
+    candidate needs come from recomputing its block with the same operands,
+    so they are taken of the very values the table was built from.
 
     The least value is nearly always causal, so its pairs are tested first,
     then the WIDTH_WIDEN-fold least values with all their ties, and so on:
@@ -151,26 +175,47 @@ def width(hull: ConvexHull3) -> WidthReport:
     g2 = (Q[p2] * P[q2]).sum(axis=1)
     p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
     p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
-    A, B = Q[p1] @ P[p2].T, Q[p1] @ P[q2].T
-    C, D = Q[q1] @ P[p2].T, Q[q1] @ P[q2].T
-    keep = (A > 0) & (B > 0) & (C > 0) & (D > 0)
-    cos, bc = A * D, B * C  # (E1, E2), in place from here on
-    with np.errstate(invalid="ignore"):  # NaN only where keep fails
-        np.sqrt(cos, out=cos)
-        cos += np.sqrt(bc, out=bc)
-    cos /= np.sqrt(np.multiply.outer(g1, g2, out=bc), out=bc)
-    keep &= cos < 1.0
-    cos[~keep] = np.inf
-    cos = cos.ravel()
-    n_keep = np.count_nonzero(keep)
+    ends = ((Q[p1], P[p2].T), (Q[p1], P[q2].T),
+            (Q[q1], P[p2].T), (Q[q1], P[q2].T))
+    buf = np.empty((5, min(HULL_BLOCK_ROWS, len(p1)), len(p2)))
+
+    def gram(lo):  # A, B, C, D of the past edges lo:lo + HULL_BLOCK_ROWS
+        rows = min(HULL_BLOCK_ROWS, len(p1) - lo)
+        for X, (u, v) in zip(buf, ends):
+            np.matmul(u[lo:lo + rows], v, out=X[:rows])
+        return buf[:4, :rows]
+
+    cos = np.empty((len(p1), len(p2)))
+    n_keep = 0
+    for lo in range(0, len(p1), HULL_BLOCK_ROWS):
+        A, B, C, D = gram(lo)
+        c, bc = cos[lo:lo + len(A)], buf[4, :len(A)]
+        keep = (A > 0) & (B > 0) & (C > 0) & (D > 0)
+        np.multiply(A, D, out=c)
+        np.multiply(B, C, out=bc)
+        with np.errstate(invalid="ignore"):  # NaN only where keep fails
+            np.sqrt(c, out=c)
+            c += np.sqrt(bc, out=bc)
+        c /= np.sqrt(np.multiply.outer(g1[lo:lo + len(A)], g2, out=bc),
+                     out=bc)
+        keep &= c < 1.0
+        c[~keep] = np.inf
+        n_keep += np.count_nonzero(keep)
     if n_keep == 0:
         return empty
+    cos = cos.ravel()
     n = 1
     while True:
         least = cos.min() if n == 1 else np.partition(cos, n - 1)[n - 1]
         cand = np.flatnonzero(cos <= least)
         i, j = np.divmod(cand, len(p2))
-        lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B, C, D))
+        # the same products as the table's blocks, so the same bits
+        logs = np.empty((4, len(cand)))
+        block_lo = i - i % HULL_BLOCK_ROWS
+        for lo in np.unique(block_lo):
+            at = block_lo == lo
+            logs[:, at] = np.log(gram(lo)[:, i[at] - lo, j[at]])
+        lA, lB, lC, lD = logs
         s = 0.25 * (lC + lD - lA - lB)
         r = 0.25 * (lB + lD - lA - lC)
         t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
@@ -221,7 +266,7 @@ def hull_heights(hull: ConvexHull3, y):
     both (root + pi) - pi and its wrap have |t| >= pi/2.  A down root + pi
     lies in [pi/2, 7pi/2], and where it is >= 2pi, subtracting 2pi is exact
     (Sterbenz), so it is the remainder.  Elementwise work runs on blocks of
-    HEIGHT_BLOCK_ROWS points, which stay in cache.
+    HULL_BLOCK_ROWS points, which stay in cache.
     """
     h = L.poincare_to_hyperboloid(y)
     k = h[:, :2] / h[:, 2:3]  # Klein coordinates
@@ -234,8 +279,8 @@ def hull_heights(hull: ConvexHull3, y):
     neg_r = -np.hypot(eq[:, 2], eq[:, 3])
     c = k @ eq[:, :2].T  # (N,F); one product, as BLAS bits depend on the rows
     t_lo, t_hi = np.empty(len(k)), np.empty(len(k))
-    for blk in range(0, len(k), HEIGHT_BLOCK_ROWS):
-        s = c[blk:blk + HEIGHT_BLOCK_ROWS] / neg_r
+    for blk in range(0, len(k), HULL_BLOCK_ROWS):
+        s = c[blk:blk + HULL_BLOCK_ROWS] / neg_r
         miss = s >= 1.0
         asn = np.arcsin(np.clip(s, -1.0, 1.0, out=s), out=s)
         up = asn - phi + np.pi
@@ -245,7 +290,7 @@ def hull_heights(hull: ConvexHull3, y):
                                    (down, -np.pi / 2, t_lo, np.max)):
             t -= np.pi
             t[miss | (np.abs(t) >= np.pi / 2)] = edge
-            pick(t, axis=1, out=out[blk:blk + HEIGHT_BLOCK_ROWS])
+            pick(t, axis=1, out=out[blk:blk + HULL_BLOCK_ROWS])
     return t_lo + hull.t_shift, t_hi + hull.t_shift
 
 

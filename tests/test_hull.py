@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from adsmax import boundary as B
 from adsmax import hull as HU
 from adsmax import lorentz as L
 from adsmax import mesh as MM
+from adsmax.constants import HULL_BLOCK_ROWS
 
 MESH = MM.make_mesh(2.0, 12, 36)
 
@@ -386,3 +388,50 @@ class TestEnvelopes:
         assert dev < 1e-9
         assert np.abs(hi - lo).max() < 1e-9
 
+
+
+def traced_peak(f, *args):
+    """Peak bytes that numpy and Python allocate during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("curve", [step_curve(0.5), B.two_step_curve(512)],
+                             ids=["step_0.5", "two_step"])
+    def test_edges_are_the_sorted_unique_facet_edges(self, curve):
+        # width_all_pairs reads _edges too, so it cannot catch an edge error
+        h = HU.convex_hull(curve)
+        for label in (-1, 1):
+            tri = h.simplices[h.labels == label]
+            e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+            assert np.array_equal(HU._edges(h, label),
+                                  np.unique(np.sort(e, axis=1), axis=0).T)
+
+    def test_width_holds_one_pair_table(self):
+        # the whole-table kernel peaked at 6.3 (past x future) tables
+        h = HU.convex_hull(step_curve(0.5))
+        table = len(HU._edges(h, -1)[0]) * len(HU._edges(h, 1)[0]) * 8
+        assert traced_peak(HU.width, h) <= 2 * table
+
+    def test_graph_margins_build_no_vertex_facet_table(self):
+        h = HU.convex_hull(step_curve(0.5))
+        mesh = MM.make_mesh(3.0, 26, 84)
+        t = np.full(mesh.n_vertices, h.t_shift)
+        table = mesh.n_vertices * len(h.equations) * 8
+        assert traced_peak(HU.graph_margins, h, mesh.vertices, t) <= 0.1 * table
+
+    def test_margin_blocks_with_a_remainder_match_full_mesh(self):
+        h = HU.convex_hull(step_curve(0.5))
+        mesh = MM.make_mesh(3.0, 26, 84)
+        lo, hi = HU.hull_heights(h, mesh.vertices)
+        t = 0.5 * (lo + hi)
+        full = HU.graph_margins(h, mesh.vertices, t)
+        outer = mesh.rho > 1.0
+        assert outer.sum() % HULL_BLOCK_ROWS != 0
+        part = HU.graph_margins(h, mesh.vertices[outer], t[outer])
+        assert np.abs(part - full[outer]).max() <= 1e-14
