@@ -28,7 +28,7 @@ VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> ve
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
 WIDTH_WIDEN = 16             # width tests this many times more least-cos edge pairs per round until one is causal
 POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - this
-HULL_BLOCK_ROWS = 48         # width, facet margins and hull_heights work on this many rows (past edges or points) at a time, ~390 KB at 1,000 columns; blocked BLAS products kept the whole product's bits at 48 rows on an AVX-512 OpenBLAS build, not at 32
+HULL_BLOCK_ROWS = 32         # facet margins and the elementwise passes of width and hull_heights run on this many rows (points or past edges) at a time, ~260 KB at 1,000 columns; products whose bits a test pins stay whole
 
 # meshes
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim

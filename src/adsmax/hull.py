@@ -9,10 +9,11 @@ future boundary.  Facets are ideal triangles, so that sup lies on a pair of
 edges, whole spacelike geodesics between curve samples, where it has a closed
 form in the quadric model (see `width`).
 
-The dense kernels, the width's (past edges x future edges) table and the
-facet margins of many points, run HULL_BLOCK_ROWS rows at a time into
-buffers reused from block to block, so the width holds one table of doubles
-and the margins none.
+The dense kernels run HULL_BLOCK_ROWS rows at a time.  The facet margins
+of many points take their products and minima block by block into a reused
+buffer, so no (points x facets) table is built.  The width's Gram products
+stay whole, as their bits must not depend on the row count, and only its
+elementwise pass runs in blocks, in place (see `width`).
 """
 
 from __future__ import annotations
@@ -146,15 +147,15 @@ def width(hull: ConvexHull3) -> WidthReport:
     e^{2(s+r)} = D/A and e^{2(s-r)} = C/B.  The width is the arccos of the
     least such value over the edge pairs whose minimisers are timelike and in
     causal order (chart time is a time function).  A pair sharing a sample
-    has a coefficient that vanishes up to round-off, so its separation tends
-    to 0.  It is not skipped: when that coefficient rounds above 0 the pair
-    passes the positivity test, and 3 to 12 such pairs per curve of the
-    width benchmark do, but their value lies within 3e-11 of 1, so they
-    never set a width above round-off level (about 1e-5).
+    is not skipped: its shared coefficient vanishes up to round-off, so when
+    it rounds above 0 the pair passes the positivity test, but its value is
+    round-off away from 1 and cannot set the width.
 
-    The table is built HULL_BLOCK_ROWS past edges at a time, and the logs a
-    candidate needs come from recomputing its block with the same operands,
-    so they are taken of the very values the table was built from.
+    A, B, C and D are whole BLAS products, as a product's bits depend on its
+    row count, and the elementwise pass runs in place on HULL_BLOCK_ROWS rows
+    at a time, so three tables are alive.  The search reads C at its
+    candidates from C's table and recomputes A, B and D, so their logs are
+    taken of the very values the table was built from.
 
     The least value is nearly always causal, so its pairs are tested first,
     then the WIDTH_WIDEN-fold least values with all their ties, and so on:
@@ -175,32 +176,36 @@ def width(hull: ConvexHull3) -> WidthReport:
     g2 = (Q[p2] * P[q2]).sum(axis=1)
     p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
     p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
-    ends = ((Q[p1], P[p2].T), (Q[p1], P[q2].T),
-            (Q[q1], P[p2].T), (Q[q1], P[q2].T))
-    buf = np.empty((5, min(HULL_BLOCK_ROWS, len(p1)), len(p2)))
+    ends = ((p1, p2), (p1, q2), (q1, p2), (q1, q2))  # A, B, C, D
 
-    def gram(lo):  # A, B, C, D of the past edges lo:lo + HULL_BLOCK_ROWS
-        rows = min(HULL_BLOCK_ROWS, len(p1) - lo)
-        for X, (u, v) in zip(buf, ends):
-            np.matmul(u[lo:lo + rows], v, out=X[:rows])
-        return buf[:4, :rows]
+    def gram(k, out):  # whole products: BLAS bits depend on the row count
+        u, v = ends[k]
+        return np.matmul(Q[u], P[v].T, out=out)
 
-    cos = np.empty((len(p1), len(p2)))
-    n_keep = 0
-    for lo in range(0, len(p1), HULL_BLOCK_ROWS):
-        A, B, C, D = gram(lo)
-        c, bc = cos[lo:lo + len(A)], buf[4, :len(A)]
-        keep = (A > 0) & (B > 0) & (C > 0) & (D > 0)
-        np.multiply(A, D, out=c)
-        np.multiply(B, C, out=bc)
-        with np.errstate(invalid="ignore"):  # NaN only where keep fails
-            np.sqrt(c, out=c)
-            c += np.sqrt(bc, out=bc)
-        c /= np.sqrt(np.multiply.outer(g1[lo:lo + len(A)], g2, out=bc),
-                     out=bc)
-        keep &= c < 1.0
-        c[~keep] = np.inf
-        n_keep += np.count_nonzero(keep)
+    def blocks():
+        for lo in range(0, len(p1), HULL_BLOCK_ROWS):
+            yield slice(lo, lo + HULL_BLOCK_ROWS)
+
+    # three tables: cos (A, then sqrt(A D)), X (D, then B, then scratch), C
+    cos, X = gram(0, None), gram(3, None)
+    keep = np.empty(cos.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # NaN only where keep fails
+        for b in blocks():
+            a, d, kb = cos[b], X[b], keep[b]
+            np.greater(a, 0.0, out=kb)
+            kb &= d > 0
+            np.sqrt(np.multiply(a, d, out=a), out=a)
+        gram(1, X)
+        C = gram(2, None)
+        for b in blocks():
+            c, t, kb = cos[b], X[b], keep[b]  # t: B, then scratch
+            kb &= t > 0
+            kb &= C[b] > 0
+            c += np.sqrt(np.multiply(t, C[b], out=t), out=t)
+            c /= np.sqrt(np.multiply(g1[b, None], g2, out=t), out=t)
+            kb &= c < 1.0
+            np.copyto(c, np.inf, where=~kb)
+    n_keep = np.count_nonzero(keep)
     if n_keep == 0:
         return empty
     cos = cos.ravel()
@@ -209,13 +214,9 @@ def width(hull: ConvexHull3) -> WidthReport:
         least = cos.min() if n == 1 else np.partition(cos, n - 1)[n - 1]
         cand = np.flatnonzero(cos <= least)
         i, j = np.divmod(cand, len(p2))
-        # the same products as the table's blocks, so the same bits
-        logs = np.empty((4, len(cand)))
-        block_lo = i - i % HULL_BLOCK_ROWS
-        for lo in np.unique(block_lo):
-            at = block_lo == lo
-            logs[:, at] = np.log(gram(lo)[:, i[at] - lo, j[at]])
-        lA, lB, lC, lD = logs
+        # the table's own products, so the logs have the table's bits
+        lA, lB, lD = (np.log(gram(k, X)[i, j]) for k in (0, 1, 3))
+        lC = np.log(C[i, j])
         s = 0.25 * (lC + lD - lA - lB)
         r = 0.25 * (lB + lD - lA - lC)
         t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
