@@ -26,9 +26,8 @@ STEP_COEFF_CUT = 1e-17       # step_family drops Fourier coefficients at or belo
 # convex hull / width
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
-WIDTH_WIDEN = 16             # width tests this many times more least-cos edge pairs per round until one is causal
 POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - this
-HULL_BLOCK_ROWS = 32         # facet margins and the elementwise passes of width and hull_heights run on this many rows (points or past edges) at a time, ~260 KB at 1,000 columns; products whose bits a test pins stay whole
+HULL_BLOCK_ROWS = 32         # rows (points or past edges) per block of the facet margins, of hull_heights' elementwise pass and of width's search, which takes its Gram products block by block and builds no edge-pair table; ~260 KB per buffer at 1,000 columns
 
 # meshes
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim

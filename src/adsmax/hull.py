@@ -11,9 +11,9 @@ form in the quadric model (see `width`).
 
 The dense kernels run HULL_BLOCK_ROWS rows at a time.  The facet margins
 of many points take their products and minima block by block into a reused
-buffer, so no (points x facets) table is built.  The width's Gram products
-stay whole, as their bits must not depend on the row count, and only its
-elementwise pass runs in blocks, in place (see `width`).
+buffer, so no (points x facets) table is built.  The width search takes its
+Gram products, values and least causal pair block by block of past edges,
+so no (past edges x future edges) table is built either (see `width`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy.spatial import QhullError
 from . import lorentz as L
 from .boundary import BoundaryCurve
 from .constants import (
-    HULL_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL, WIDTH_WIDEN)
+    HULL_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL)
 from .mesh import DiskMesh
 
 
@@ -151,16 +151,15 @@ def width(hull: ConvexHull3) -> WidthReport:
     it rounds above 0 the pair passes the positivity test, but its value is
     round-off away from 1 and cannot set the width.
 
-    A, B, C and D are whole BLAS products, as a product's bits depend on its
-    row count, and the elementwise pass runs in place on HULL_BLOCK_ROWS rows
-    at a time, so three tables are alive.  The search reads C at its
-    candidates from C's table and recomputes A, B and D, so their logs are
-    taken of the very values the table was built from.
-
-    The least value is nearly always causal, so its pairs are tested first,
-    then the WIDTH_WIDEN-fold least values with all their ties, and so on:
-    the least causal value found is the least overall, and ties go to the
-    first pair in row-major order, as in one pass over all pairs.
+    The search runs over HULL_BLOCK_ROWS past edges at a time against all
+    future edges, in buffers reused from block to block, so no (past x
+    future) table is built.  A block's value is inf where a coefficient is
+    not positive or where it is not below the least causal value found so
+    far (at most 1).  The block's least value is then tested first, its tied
+    pairs in row-major order: the first causal one is the new best, and if
+    none is causal they become inf and the next least value is tried.  Later
+    blocks keep only strictly lower values, so ties go to the first pair in
+    row-major order, as in one pass over all pairs.
     """
     zero = np.zeros(4)
     empty = WidthReport(0.0, 0.0, zero, zero)
@@ -176,59 +175,47 @@ def width(hull: ConvexHull3) -> WidthReport:
     g2 = (Q[p2] * P[q2]).sum(axis=1)
     p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
     p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
-    ends = ((p1, p2), (p1, q2), (q1, p2), (q1, q2))  # A, B, C, D
-
-    def gram(k, out):  # whole products: BLAS bits depend on the row count
-        u, v = ends[k]
-        return np.matmul(Q[u], P[v].T, out=out)
-
-    def blocks():
-        for lo in range(0, len(p1), HULL_BLOCK_ROWS):
-            yield slice(lo, lo + HULL_BLOCK_ROWS)
-
-    # three tables: cos (A, then sqrt(A D)), X (D, then B, then scratch), C
-    cos, X = gram(0, None), gram(3, None)
-    keep = np.empty(cos.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):  # NaN only where keep fails
-        for b in blocks():
-            a, d, kb = cos[b], X[b], keep[b]
-            np.greater(a, 0.0, out=kb)
-            kb &= d > 0
-            np.sqrt(np.multiply(a, d, out=a), out=a)
-        gram(1, X)
-        C = gram(2, None)
-        for b in blocks():
-            c, t, kb = cos[b], X[b], keep[b]  # t: B, then scratch
-            kb &= t > 0
-            kb &= C[b] > 0
-            c += np.sqrt(np.multiply(t, C[b], out=t), out=t)
-            c /= np.sqrt(np.multiply(g1[b, None], g2, out=t), out=t)
-            kb &= c < 1.0
-            np.copyto(c, np.inf, where=~kb)
-    n_keep = np.count_nonzero(keep)
-    if n_keep == 0:
+    Pp2, Pq2 = P[p2].T, P[q2].T
+    ends = ((p1, Pp2), (p1, Pq2), (q1, Pp2), (q1, Pq2))  # A, B, C, D
+    # A, B, C, D, cos and scratch, each (rows, future edges)
+    bufs = np.empty((6, min(HULL_BLOCK_ROWS, len(p1)), len(p2)))
+    keep = np.empty(bufs.shape[1:], dtype=bool)
+    best, found = 1.0, None
+    for lo in range(0, len(p1), HULL_BLOCK_ROWS):
+        b = slice(lo, lo + HULL_BLOCK_ROWS)
+        *gram, cos, t = bufs[:, :len(p1[b])]
+        kb = keep[:len(cos)]
+        for X, (u, v) in zip(gram, ends):
+            np.matmul(Q[u[b]], v, out=X)
+        A, B_, C, D = gram
+        np.greater(A, 0.0, out=kb)
+        for X in (B_, C, D):
+            kb &= X > 0
+        with np.errstate(invalid="ignore"):  # NaN only where kb fails
+            np.sqrt(np.multiply(A, D, out=cos), out=cos)
+            cos += np.sqrt(np.multiply(B_, C, out=t), out=t)
+            cos /= np.sqrt(np.multiply(g1[b, None], g2, out=t), out=t)
+        kb &= cos < best
+        np.copyto(cos, np.inf, where=~kb)
+        flat = cos.ravel()
+        while (least := flat.min(initial=np.inf)) < best:
+            cand = np.flatnonzero(flat == least)
+            i, j = np.divmod(cand, len(p2))
+            lA, lB, lC, lD = (np.log(X.ravel()[cand]) for X in gram)
+            s = 0.25 * (lC + lD - lA - lB)
+            r = 0.25 * (lB + lD - lA - lC)
+            t_past = _edge_point(z[:, 2:], p1[lo + i], q1[lo + i], s)[:, 0]
+            t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
+            ok = np.flatnonzero(t_future > t_past)
+            if len(ok):
+                k = ok[0]
+                best, found = least, (lo + i[k], j[k], s[k], r[k])
+            else:
+                flat[cand] = np.inf
+    if found is None:
         return empty
-    cos = cos.ravel()
-    n = 1
-    while True:
-        least = cos.min() if n == 1 else np.partition(cos, n - 1)[n - 1]
-        cand = np.flatnonzero(cos <= least)
-        i, j = np.divmod(cand, len(p2))
-        # the table's own products, so the logs have the table's bits
-        lA, lB, lD = (np.log(gram(k, X)[i, j]) for k in (0, 1, 3))
-        lC = np.log(C[i, j])
-        s = 0.25 * (lC + lD - lA - lB)
-        r = 0.25 * (lB + lD - lA - lC)
-        t_past = _edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
-        t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
-        ok = np.flatnonzero(t_future > t_past)
-        if len(ok):
-            break
-        if n == n_keep:
-            return empty
-        n = min(WIDTH_WIDEN * n, n_keep)
-    k = ok[np.argmin(cos[cand[ok]])]
-    raw = float(np.arccos(cos[cand[k]]))
+    i, j, s, r = found
+    raw = float(np.arccos(best))
 
     def point(p, q, s):  # back from the recentered frame
         x = L.projective_to_quadric(_edge_point(z, p, q, s))
@@ -237,8 +224,8 @@ def width(hull: ConvexHull3) -> WidthReport:
     return WidthReport(
         width=min(raw, np.pi / 2),
         width_raw=raw,
-        argmax_past=point(p1[i[k]], q1[i[k]], s[k]),
-        argmax_future=point(p2[j[k]], q2[j[k]], r[k]),
+        argmax_past=point(p1[i], q1[i], s),
+        argmax_future=point(p2[j], q2[j], r),
     )
 
 

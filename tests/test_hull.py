@@ -47,9 +47,13 @@ def heights_with_modulo(hull, y):
     return t_lo + hull.t_shift, t_hi + hull.t_shift
 
 
-def width_all_pairs(hull):
+def edge_pairs(hull):
     """Reference for `width`: every edge pair's value and causal test at
-    once, then the least causal value, first in row-major order."""
+    once.  A, B, C and D are taken in HULL_BLOCK_ROWS-row blocks, as `width`
+    takes them, since a BLAS product's bits depend on its row count.
+    Returns the edges and, for the pairs with positive coefficients and
+    value below 1 in row-major order, the value, the past and future edge
+    rows i and j, the edge parameters s and r, and the causal test."""
     z = hull.points
     P = np.column_stack([z[:, 0], z[:, 1], np.ones(len(z)), z[:, 2]])
     Q = -P * L.SIGNATURE
@@ -58,28 +62,52 @@ def width_all_pairs(hull):
     g2 = (Q[p2] * P[q2]).sum(axis=1)
     p1, q1, g1 = p1[g1 > 0], q1[g1 > 0], g1[g1 > 0]
     p2, q2, g2 = p2[g2 > 0], q2[g2 > 0], g2[g2 > 0]
-    A, B_, C = Q[p1] @ P[p2].T, Q[p1] @ P[q2].T, Q[q1] @ P[p2].T
-    D = Q[q1] @ P[q2].T
+    A, B_, C, D = (
+        np.concatenate([Q[u[lo:lo + HULL_BLOCK_ROWS]] @ P[v].T
+                        for lo in range(0, len(p1), HULL_BLOCK_ROWS)])
+        for u, v in ((p1, p2), (p1, q2), (q1, p2), (q1, q2)))
     keep = (A > 0) & (B_ > 0) & (C > 0) & (D > 0)
     for X in (A, B_, C, D):
         np.maximum(X, 0.0, out=X)
     cos = (np.sqrt(A * D) + np.sqrt(B_ * C)) / np.sqrt(np.outer(g1, g2))
     i, j = np.nonzero(keep & (cos < 1.0))
-    cos = cos[i, j]
     lA, lB, lC, lD = (np.log(X[i, j]) for X in (A, B_, C, D))
     s = 0.25 * (lC + lD - lA - lB)
     r = 0.25 * (lB + lD - lA - lC)
     t_past = HU._edge_point(z[:, 2:], p1[i], q1[i], s)[:, 0]
     t_future = HU._edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
-    ok = np.flatnonzero(t_future > t_past)
+    return (p1, q1, p2, q2), cos[i, j], i, j, s, r, t_future > t_past
+
+
+def width_all_pairs(hull):
+    """The least causal value of `edge_pairs`, first in row-major order:
+    (width_raw, argmax_past, argmax_future, past edge row)."""
+    (p1, q1, p2, q2), cos, i, j, s, r, causal = edge_pairs(hull)
+    ok = np.flatnonzero(causal)
     k = ok[np.argmin(cos[ok])]
 
     def point(p, q, s):
-        x = L.projective_to_quadric(HU._edge_point(z, p, q, s))
+        x = L.projective_to_quadric(HU._edge_point(hull.points, p, q, s))
         return L.apply_isometry(L.time_translation(hull.t_shift), x)
 
     return (float(np.arccos(cos[k])), point(p1[i[k]], q1[i[k]], s[k]),
-            point(p2[j[k]], q2[j[k]], r[k]))
+            point(p2[j[k]], q2[j[k]], r[k]), i[k])
+
+
+def labels_swapped_left_of(hull, x=0.0):
+    """Past and future labels swapped on the facets whose centroids lie at
+    chart x below the given one: edge pairs running from future to past
+    then take some of the least values."""
+    over = hull.points[hull.simplices].mean(axis=1)[:, 0] < x
+    return dataclasses.replace(
+        hull, labels=np.where(over, -hull.labels, hull.labels).astype(np.int8))
+
+
+def matches_all_pairs(hull):
+    w = HU.width(hull)
+    raw, past, future, _ = width_all_pairs(hull)
+    return same_bits((w.width_raw, raw), (w.argmax_past, past),
+                     (w.argmax_future, future))
 
 
 def same_bits(*pairs):
@@ -203,25 +231,17 @@ class TestWidth:
         steep_image(1012),
     ], ids=["step_0.3", "step_0.9", "bump_0.6", "two_step", "step_0.8_image"])
     def test_least_first_matches_all_pairs(self, curve):
-        h = HU.convex_hull(curve)
-        w = HU.width(h)
-        raw, past, future = width_all_pairs(h)
-        assert same_bits((w.width_raw, raw), (w.argmax_past, past),
-                         (w.argmax_future, future))
+        assert matches_all_pairs(HU.convex_hull(curve))
 
-    def test_widened_search_finds_a_later_causal_pair(self):
-        # past and future labels swapped on the facets over x < 0: the least
-        # value then belongs to a pair running from future to past, and the
-        # width comes from a pair found after widening the candidates
+    def test_search_skips_pairs_running_from_future_to_past(self):
+        # with the labels over x < 0 swapped the least value belongs to a
+        # pair running from future to past, and the width to a causal pair
+        # of higher value
         h = HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128))
-        over = h.points[h.simplices].mean(axis=1)[:, 0] < 0
-        mixed = dataclasses.replace(
-            h, labels=np.where(over, -h.labels, h.labels).astype(np.int8))
+        mixed = labels_swapped_left_of(h)
         w = HU.width(mixed)
         assert 0.1 < w.width_raw < HU.width(h).width_raw - 1e-4
-        raw, past, future = width_all_pairs(mixed)
-        assert same_bits((w.width_raw, raw), (w.argmax_past, past),
-                         (w.argmax_future, future))
+        assert matches_all_pairs(mixed)
 
     def test_swapped_boundaries_have_no_ordered_pair(self):
         # every timelike edge pair then runs from future to past
@@ -411,12 +431,37 @@ class TestRowBlocks:
             assert np.array_equal(HU._edges(h, label),
                                   np.unique(np.sort(e, axis=1), axis=0).T)
 
-    def test_width_holds_three_pair_tables(self):
-        # with all four Gram products alive at once the kernel peaked at 6.3
-        # (past x future) tables; they stay whole products, so three remain
-        h = HU.convex_hull(step_curve(0.5))
+    def test_width_builds_no_edge_pair_table(self):
+        # buffers of HULL_BLOCK_ROWS rows, far below one (past x future) table
+        h = HU.convex_hull(step_curve(0.5, 2048))
         table = len(HU._edges(h, -1)[0]) * len(HU._edges(h, 1)[0]) * 8
-        assert traced_peak(HU.width, h) <= 4 * table
+        assert traced_peak(HU.width, h) <= 0.1 * table
+
+    def test_width_blocks_with_a_remainder_match_all_pairs(self):
+        # a larger hull first: a buffer read past the last block's rows
+        # would show stale values
+        h = HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128))
+        assert len(edge_pairs(h)[0][0]) % HULL_BLOCK_ROWS != 0
+        HU.width(HU.convex_hull(step_curve(0.9)))
+        assert matches_all_pairs(h)
+
+    def test_width_from_a_later_block_than_a_noncausal_least(self):
+        h = labels_swapped_left_of(HU.convex_hull(step_curve(0.5, 128)))
+        _, cos, i, _, _, _, causal = edge_pairs(h)
+        first = i < HULL_BLOCK_ROWS
+        least = first & (cos == cos[first].min())
+        assert not causal[least].any()
+        assert width_all_pairs(h)[3] >= HULL_BLOCK_ROWS
+        assert matches_all_pairs(h)
+
+    def test_width_from_the_block_of_a_noncausal_least(self):
+        h = labels_swapped_left_of(
+            HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128)), 0.5)
+        _, cos, i, _, _, _, causal = edge_pairs(h)
+        block = i // HULL_BLOCK_ROWS == width_all_pairs(h)[3] // HULL_BLOCK_ROWS
+        least = block & (cos == cos[block].min())
+        assert not causal[least].any()
+        assert matches_all_pairs(h)
 
     def test_graph_margins_build_no_vertex_facet_table(self):
         h = HU.convex_hull(step_curve(0.5))
