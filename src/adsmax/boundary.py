@@ -229,7 +229,7 @@ class BoundaryCurve:
     def is_planar(self) -> bool:
         """True when all samples lie on a totally geodesic plane (Mobius data)."""
         q = self.quadric
-        _, s, _ = np.linalg.svd(q - q.mean(axis=0))
+        s = np.linalg.svd(q - q.mean(axis=0), compute_uv=False)
         return bool(s[-1] < PLANAR_TOL * max(1.0, s[0]))
 
     def transform(self, g: L.Isometry3) -> "BoundaryCurve":

@@ -30,6 +30,7 @@ POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - th
 HULL_BLOCK_ROWS = 32         # rows (points or past edges) per block of the facet margins, of hull_heights' elementwise pass and of width's search, which takes its Gram products block by block and builds no edge-pair table; ~260 KB per buffer at 1,000 columns
 
 # meshes
+PAIR_BLOCK = 8192            # pairs per block of the passes over 2-ring stencils (fit) and edges (shape_data), cut between vertices, so a block may exceed it by one vertex's pairs; 64 KB per per-pair array
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim
 RING_SPAN_TOL = 1e-12        # ring_radii: relative error of the clamped steps' total span
 

@@ -156,10 +156,13 @@ def width(hull: ConvexHull3) -> WidthReport:
     future) table is built.  A block's value is inf where a coefficient is
     not positive or where it is not below the least causal value found so
     far (at most 1).  The block's least value is then tested first, its tied
-    pairs in row-major order: the first causal one is the new best, and if
-    none is causal they become inf and the next least value is tried.  Later
-    blocks keep only strictly lower values, so ties go to the first pair in
-    row-major order, as in one pass over all pairs.
+    pairs in row-major order: the first causal one is the new best.  If none
+    is causal, every finite value of the block is tested for causal order
+    in one pass, and the least causal one, the first of its ties in
+    row-major order, is the new best; so a block costs two tests however
+    many of its least values run from future to past.  Later blocks keep
+    only strictly lower values, so ties go to the first pair in row-major
+    order, as in one pass over all pairs.
     """
     zero = np.zeros(4)
     empty = WidthReport(0.0, 0.0, zero, zero)
@@ -198,8 +201,12 @@ def width(hull: ConvexHull3) -> WidthReport:
         kb &= cos < best
         np.copyto(cos, np.inf, where=~kb)
         flat = cos.ravel()
-        while (least := flat.min(initial=np.inf)) < best:
-            cand = np.flatnonzero(flat == least)
+        least = flat.min(initial=np.inf)
+        if not least < best:
+            continue
+        # the least value's pairs first, then, if none is causal, every
+        # pair of the block below best in one pass
+        for cand in (np.flatnonzero(flat == least), np.flatnonzero(kb)):
             i, j = np.divmod(cand, len(p2))
             lA, lB, lC, lD = (np.log(X.ravel()[cand]) for X in gram)
             s = 0.25 * (lC + lD - lA - lB)
@@ -208,10 +215,10 @@ def width(hull: ConvexHull3) -> WidthReport:
             t_future = _edge_point(z[:, 2:], p2[j], q2[j], r)[:, 0]
             ok = np.flatnonzero(t_future > t_past)
             if len(ok):
-                k = ok[0]
-                best, found = least, (lo + i[k], j[k], s[k], r[k])
-            else:
-                flat[cand] = np.inf
+                # the least causal value; argmin takes the first of its ties
+                k = ok[np.argmin(flat[cand[ok]])]
+                best, found = flat[cand[k]], (lo + i[k], j[k], s[k], r[k])
+                break
     if found is None:
         return empty
     i, j, s, r = found

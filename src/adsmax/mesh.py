@@ -18,7 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constants import MESH_GRADING, RING_SPAN_TOL
+from .constants import MESH_GRADING, PAIR_BLOCK, RING_SPAN_TOL
+
+# exponents (p, q) of the stencil moments sum w x1^p x2^q that
+# `DiskMesh.fit_moments` holds: every degree 2 to 6, as the normal equations
+# of a cubic fit read them, in the order `weighted_powers` makes them
+_MOMENT_DEGREE = 6
+MOMENT_EXP = tuple((p, q) for p in range(_MOMENT_DEGREE + 1)
+                   for q in range(_MOMENT_DEGREE + 1 - p) if p + q >= 2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -28,10 +35,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiskMesh:
-    """A triangulated disk.  Data derived from the mesh alone (edges,
-    stencils, FEM geometry, the factored start fill) is computed on first
-    use and cached on the instance, read-only, so it lives exactly as long
-    as the mesh."""
+    """A triangulated disk.  Data derived from the mesh alone is computed
+    on first use and cached on the instance, read-only, so it lives exactly
+    as long as the mesh: the edges and neighbour counts, the 2-ring pairs,
+    the P1 geometry `fem`, the cubic fit's stencil scales and moments
+    `fit_moments` (per vertex, no per-pair array), and the factored start
+    fill `strip_fill`."""
 
     vertices: np.ndarray      # (N,2) Poincare coordinates
     triangles: np.ndarray     # (M,3) CCW
@@ -91,7 +100,8 @@ class DiskMesh:
 
     @cached_property
     def two_ring_pairs(self) -> np.ndarray:
-        """COO pairs (i, k) with k in the 2-ring neighborhood of i (k != i)."""
+        """COO pairs (i, k) with k in the 2-ring neighborhood of i (k != i),
+        sorted by i."""
         e = vertex_neighbors(self)
         n = self.n_vertices
         A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
@@ -110,13 +120,39 @@ class DiskMesh:
         the Newton solves take it)."""
         g = self.fem
         c1 = (g["phiq"] ** 2).sum(axis=1) / 3.0
-        K = p1_matrix(self, lambda ga, gb: g["area"] * (
-            c1 * (ga * gb).sum(axis=1)))
+        grads = g["grads"]
+        K = p1_matrix(self, g["area"][:, None, None] * (
+            c1[:, None, None] * element_dots(grads, grads)))
         strip = self.rim_strip
         off = K[~strip]
         lu = spla.splu(off[:, ~strip].tocsc(), permc_spec="MMD_AT_PLUS_A")
         coupling = off[:, strip]
         return lambda u_strip: lu.solve(-(coupling @ u_strip))
+
+    @cached_property
+    def fit_moments(self) -> MappingProxyType:
+        """The mesh-only half of `surface.fit_derivatives`' normal
+        equations, per interior vertex v (`deep_interior_mask(0)`): "scale",
+        the mean length s of its 2-ring offsets, and "moments", the sums
+        sum w x1^p x2^q over its 2-ring pairs in `MOMENT_EXP` order, with
+        x = (y_k - y_v) / s and w = 1 / (1 + |x|^2).  Built block by block
+        (`stencil_blocks`), so no per-pair array outlives its block."""
+        n = np.count_nonzero(self.deep_interior_mask(0))
+        scale = np.empty(n)
+        moments = np.empty((n, len(MOMENT_EXP)))
+        col = {e: a for a, e in enumerate(MOMENT_EXP)}
+        for rows, i, _, x in stencil_blocks(self):
+            nb = rows.stop - rows.start
+            cnt = np.bincount(i, minlength=nb)
+            s = np.bincount(i, np.linalg.norm(x, axis=1), minlength=nb)
+            s = s / np.maximum(cnt, 1.0)
+            scale[rows] = s
+            x /= s[i, None]
+            for e, wx in weighted_powers(x, _MOMENT_DEGREE):
+                if e in col:
+                    moments[rows, col[e]] = np.bincount(i, wx, minlength=nb)
+        return MappingProxyType({"scale": _read_only(scale),
+                                 "moments": _read_only(moments)})
 
     @cached_property
     def fem(self) -> MappingProxyType:
@@ -289,22 +325,80 @@ def corner_sum(mesh: DiskMesh, vals):
                        minlength=mesh.n_vertices)
 
 
-def p1_matrix(mesh: DiskMesh, entry):
-    """Sparse P1 matrix with element entries entry(g_a, g_b) -> (M,), where
-    g_a, g_b are the (M, 2) basis gradients of corners a and b."""
+def element_dots(g, h):
+    """(M, 3, 3) dot products g[m, a] . h[m, b] of per-corner 2-vectors g
+    and h, each (M, 3, 2), summed as (g * h).sum(axis=-1) sums them."""
+    return (g[:, :, None, 0] * h[:, None, :, 0]
+            + g[:, :, None, 1] * h[:, None, :, 1])
+
+
+def p1_matrix(mesh: DiskMesh, elements):
+    """Sparse P1 matrix of the (M, 3, 3) element matrices elements[m, a, b],
+    the entry of corners a and b of triangle m.  The COO list runs over
+    (a, b) and then over the triangles, and duplicates sum in that order."""
     t = mesh.triangles
-    grads = mesh.fem["grads"]
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(t[:, a])
-            cols.append(t[:, b])
-            vals.append(entry(grads[:, a], grads[:, b]))
+    shape = (3, 3, len(t))
+    rows = np.broadcast_to(t.T[:, None], shape).ravel()
+    cols = np.broadcast_to(t.T[None], shape).ravel()
     n = mesh.n_vertices
     return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        (elements.transpose(1, 2, 0).ravel(), (rows, cols)), shape=(n, n),
     ).tocsr()
+
+
+def vertex_blocks(mesh: DiskMesh, first):
+    """Blocks of consecutive vertices over a pair list sorted by its first
+    vertices `first`, cut where the vertex of every PAIR_BLOCK-th pair
+    starts, so that a block holds at most PAIR_BLOCK pairs plus those of
+    one vertex.  Yields (v0, v1, lo, hi): the block's vertices v0:v1 and
+    the pairs lo:hi whose first vertex lies in it.  Per vertex, a bincount
+    over a block's pairs sums in the order of one over the whole list."""
+    n = mesh.n_vertices
+    # needles of the list's dtype, so that the search makes no converted copy
+    ptr = np.searchsorted(first, np.arange(n + 1, dtype=first.dtype))
+    cuts = np.searchsorted(ptr, np.arange(0, len(first), PAIR_BLOCK),
+                           side="right") - 1
+    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    return zip(bounds, bounds[1:], ptr[bounds], ptr[bounds[1:]])
+
+
+def stencil_blocks(mesh: DiskMesh):
+    """The 2-ring stencils of the interior vertices (`deep_interior_mask(0)`),
+    block by block (`vertex_blocks`).  Per block, yields (rows, i, k, x):
+    the slice of the block's rows among the interior vertices and, for each
+    pair (v, k) of `two_ring_pairs` with v interior and in the block, in
+    that list's order, the row i of v within the block, k and the offset
+    x = y_k - y_v.  The pairs are sorted by v, so every vertex of a block
+    has its pairs whole and in order there."""
+    inner = mesh.deep_interior_mask(0)
+    row = np.cumsum(inner) - 1   # row of each vertex among the interior ones
+    pairs = mesh.two_ring_pairs
+    y = mesh.vertices
+    for v0, v1, lo, hi in vertex_blocks(mesh, pairs[:, 0]):
+        first, last = row[v0] + (not inner[v0]), row[v1 - 1] + 1
+        if last == first:
+            continue
+        v, k = pairs[lo:hi].T
+        keep = inner[v]
+        v, k = v[keep], k[keep]
+        # take gathers rows several times faster than fancy indexing
+        yield (slice(first, last), row[v] - first, k,
+               y.take(k, axis=0) - y.take(v, axis=0))
+
+
+def weighted_powers(x, degree):
+    """Yields ((p, q), w x1^p x2^q) for p + q <= degree over offsets x (P, 2),
+    w = 1 / (1 + |x|^2), p running outer and q inner.  Running products
+    keep only a few per-pair arrays alive."""
+    w = 1.0 / (1.0 + (x**2).sum(axis=1))
+    for p in range(degree + 1):
+        wp = wp * x[:, 0] if p else w   # w x1^p
+        wpq = wp                        # w x1^p x2^q
+        for q in range(degree + 1 - p):
+            if q:
+                x2q = x2q * x[:, 1] if q > 1 else x[:, 1]
+                wpq = wp * x2q
+            yield (p, q), wpq
 
 
 def vertex_neighbors(mesh: DiskMesh):

@@ -85,8 +85,10 @@ class SolveConfig:
 
     A config owns the disks of its stages: `meshes` builds them on first
     use, and every solve with the config shares them and the mesh-only data
-    they cache (FEM geometry, stencils, the start's factored fill).  Solves
-    leave no other state on it, so one config serves any number of curves.
+    they cache on first use (see `DiskMesh`): the P1 geometry, the start's
+    factored fill, and for the analysis the 2-ring stencils with the cubic
+    fit's scales and moments.  Solves leave no other state on it, so one
+    config serves any number of curves.
     """
 
     # (radius, n_rings, n_angular) per disk; one disk by default, since its

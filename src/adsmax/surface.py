@@ -49,7 +49,18 @@ from .constants import (
     SHAPE_RIDGE,
     TINY,
 )
-from .mesh import DiskMesh, corner_sum, make_mesh, p1_matrix, vertex_neighbors
+from .mesh import (
+    MOMENT_EXP,
+    DiskMesh,
+    corner_sum,
+    element_dots,
+    make_mesh,
+    p1_matrix,
+    stencil_blocks,
+    vertex_blocks,
+    vertex_neighbors,
+    weighted_powers,
+)
 
 def triangle_gradients(mesh: DiskMesh, u):
     g = mesh.fem
@@ -104,8 +115,12 @@ def residual(mesh: DiskMesh, u):
 
 # exponents (p, q) of the cubic basis x1^p x2^q without constant term (the
 # fit passes through the vertex): du1, du2, u11, u12, u22, then the cubics
-_FIT_EXP = np.array([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-                     (3, 0), (2, 1), (1, 2), (0, 3)])
+_FIT_EXP = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+            (3, 0), (2, 1), (1, 2), (0, 3))
+_FIT_DEGREE = 3
+# ATA[a, b] is the moment of exponent e_a + e_b: its column of fit_moments
+_ATA_COLS = np.array([[MOMENT_EXP.index((p + r, q + s)) for r, s in _FIT_EXP]
+                      for p, q in _FIT_EXP])
 
 
 def fit_derivatives(mesh: DiskMesh, u):
@@ -117,50 +132,38 @@ def fit_derivatives(mesh: DiskMesh, u):
     Offsets x to the 2-ring are scaled by the mean stencil length and
     weighted by w = 1/(1+|x|^2).  The normal equations of the fit are
     ATA[a, b] = sum w x^(e_a + e_b) and ATB[a] = sum w du x^e_a over each
-    vertex's pairs, so ATA takes only the 25 distinct weighted moments of
-    degree 2 to 6; each moment, and each ATB entry, is one bincount over
-    the pairs.
+    vertex's pairs.  ATA depends on the mesh alone: its 25 distinct moments
+    and the scales are cached on the mesh (`DiskMesh.fit_moments`).  A call
+    forms only the 9 ATB entries, one bincount each, and solves, block by
+    block of vertices (`stencil_blocks`), so no per-pair array outlives its
+    block.
     """
     u = np.asarray(u, dtype=float)
     inner = mesh.deep_interior_mask(0)
-    n = np.count_nonzero(inner)
-    pairs = mesh.two_ring_pairs
-    keep = inner[pairs[:, 0]]
-    i = (np.cumsum(inner) - 1)[pairs[keep, 0]]  # row among the interior vertices
-    k = pairs[keep, 1]
-    x = mesh.vertices[k] - mesh.vertices[inner][i]  # offsets, scaled in place
-    cnt = np.bincount(i, minlength=n)
-    scale = np.bincount(i, np.linalg.norm(x, axis=1), minlength=n)
-    scale = scale / np.maximum(cnt, 1.0)
-    x /= scale[i, None]
-    du = u[k] - u[inner][i]
-    w = 1.0 / (1.0 + (x**2).sum(axis=1))
-    top = 2 * _FIT_EXP.max()  # highest power of x1 or of x2 in ATA
-    col = {(p, q): a for a, (p, q) in enumerate(_FIT_EXP.tolist())}
-    moments = np.zeros((n, top + 1, top + 1))
-    ATB = np.empty((n, len(_FIT_EXP)))
-    # running products, so that only a few per-pair arrays are alive
-    for p in range(top + 1):
-        wp = wp * x[:, 0] if p else w  # w x1^p
-        wpq = wp                       # w x1^p x2^q
-        for q in range(top + 1 - p):
-            if q:
-                x2q = x2q * x[:, 1] if q > 1 else x[:, 1]
-                wpq = wp * x2q
-            if p + q >= 2:
-                moments[:, p, q] = np.bincount(i, wpq, minlength=n)
-            if (p, q) in col:
-                ATB[:, col[p, q]] = np.bincount(i, wpq * du, minlength=n)
-    ep, eq = _FIT_EXP[:, 0], _FIT_EXP[:, 1]
-    ATA = moments[:, ep[:, None] + ep, eq[:, None] + eq]
-    ATA += FIT_RIDGE * np.eye(len(_FIT_EXP))
-    c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
-    s = scale
+    fm = mesh.fit_moments
+    s, moments = fm["scale"], fm["moments"]
+    u_in = u[inner]
+    col = {e: a for a, e in enumerate(_FIT_EXP)}
+    fitted = np.empty((len(s), 5))  # du1, du2, u11, u12, u22
+    for rows, i, k, x in stencil_blocks(mesh):
+        nb = rows.stop - rows.start
+        sb = s[rows]
+        x /= sb[i, None]
+        du = u[k] - u_in[rows][i]
+        ATB = np.empty((nb, len(_FIT_EXP)))
+        for e, wx in weighted_powers(x, _FIT_DEGREE):
+            if e in col:
+                ATB[:, col[e]] = np.bincount(i, wx * du, minlength=nb)
+        ATA = moments[rows][:, _ATA_COLS]
+        ATA += FIT_RIDGE * np.eye(len(_FIT_EXP))
+        c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
+        fitted[rows] = np.stack(
+            [c[:, 0] / sb, c[:, 1] / sb,
+             2 * c[:, 2] / sb**2, c[:, 3] / sb**2, 2 * c[:, 4] / sb**2],
+            axis=-1)
     du = np.full((mesh.n_vertices, 2), np.nan)
     hess = np.full((mesh.n_vertices, 3), np.nan)  # (u11, u12, u22)
-    du[inner] = np.stack([c[:, 0] / s, c[:, 1] / s], axis=-1)
-    hess[inner] = np.stack(
-        [2 * c[:, 2] / s**2, c[:, 3] / s**2, 2 * c[:, 4] / s**2], axis=-1)
+    du[inner], hess[inner] = fitted[:, :2], fitted[:, 2:]
     return {"du": du, "hess": hess}
 
 
@@ -200,10 +203,14 @@ def tangent_stiffness(mesh: DiskMesh, u):
     vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], CONE_FLOOR))
     c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
     c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
-    return p1_matrix(mesh, lambda ga, gb: g["area"] * (
-        c1 * (ga * gb).sum(axis=1)
-        + c2 * (gu * ga).sum(axis=1) * (gu * gb).sum(axis=1)
-    ))
+    # element matrices area (c1 grad N_a . grad N_b + c2 gN_a gN_b), with
+    # gN_a = grad u . grad N_a taken once per corner
+    gN = (gu[:, None] * g["grads"]).sum(axis=-1)
+    E = element_dots(g["grads"], g["grads"])
+    E *= c1[:, None, None]
+    E += (c2[:, None] * gN)[:, :, None] * gN[:, None, :]
+    E *= g["area"][:, None, None]
+    return p1_matrix(mesh, E)
 
 
 def graph_area(mesh: DiskMesh, u):
@@ -309,8 +316,8 @@ def metric_gauss_curvature(mesh: DiskMesh, metric):
     nxt, prv = [1, 2, 0], [2, 0, 1]
     # squared edge lengths, edge k (corners k+1, k+2) opposite corner k
     a, b = t[:, nxt], t[:, prv]
-    d = mesh.vertices[b] - mesh.vertices[a]
-    mid = 0.5 * (metric[a] + metric[b])
+    d = mesh.vertices.take(b, axis=0) - mesh.vertices.take(a, axis=0)
+    mid = 0.5 * (metric.take(a, axis=0) + metric.take(b, axis=0))
     l2 = np.maximum(np.einsum("mki,mkij,mkj->mk", d, mid, d), TINY)
     la2, lb2 = l2[:, nxt], l2[:, prv]
     ang = np.arccos(np.clip((la2 + lb2 - l2) / (2 * np.sqrt(la2 * lb2)),
@@ -343,25 +350,29 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
     II = np.einsum("nad,d,nbd->nab", G, L.SIGNATURE, G)
 
     edges = vertex_neighbors(mesh)
-    i, k = edges[:, 0], edges[:, 1]
-    dy = y[k] - y[i]
-    dnu = nu[k] - nu[i]
-    # pair the ambient increment with the midpoint tangent frame (kills the
-    # position and normal components and centers the difference)
-    Gm = 0.5 * (G[i] + G[k])
-    m = np.einsum("ed,d,ead->ea", dnu, L.SIGNATURE, Gm)
-    # least squares for symmetric C = I B over the edges scaled to unit
-    # length: rows [a, b, 0; 0, a, b] c = m' with (a, b) = dy/|dy| and
-    # m' = m/|dy|, summed into the normal equations entry by entry
-    wgt = 1.0 / np.linalg.norm(dy, axis=1)
-    a, b = (dy * wgt[:, None]).T
-    m0, m1 = (m * wgt[:, None]).T
-    n = mesh.n_vertices
-    # one bincount per distinct entry of A^T A (a^2, ab, a^2 + b^2, b^2) and
-    # of A^T m', then a zero column for the corners of A^T A
-    parts = (a * a, a * b, b * b + a * a, b * b, a * m0, b * m0 + a * m1, b * m1)
-    tot = np.stack([np.bincount(i, x, minlength=n) for x in parts]
-                   + [np.zeros(n)], axis=-1)
+    # per vertex, one bincount per distinct entry of A^T A (a^2, ab,
+    # a^2 + b^2, b^2) and of A^T m' (below), then a zero column for the
+    # corners of A^T A; the edges run in blocks of their first vertex
+    tot = np.zeros((mesh.n_vertices, 8))
+    for v0, v1, lo, hi in vertex_blocks(mesh, edges[:, 0]):
+        i, k = edges[lo:hi].T
+        # take gathers rows several times faster than fancy indexing
+        dy = y.take(k, axis=0) - y.take(i, axis=0)
+        dnu = nu.take(k, axis=0) - nu.take(i, axis=0)
+        # pair the ambient increment with the midpoint tangent frame (kills
+        # the position and normal components and centers the difference)
+        Gm = 0.5 * (G.take(i, axis=0) + G.take(k, axis=0))
+        m = np.einsum("ed,d,ead->ea", dnu, L.SIGNATURE, Gm)
+        # least squares for symmetric C = I B over the edges scaled to unit
+        # length: rows [a, b, 0; 0, a, b] c = m' with (a, b) = dy/|dy| and
+        # m' = m/|dy|, summed into the normal equations entry by entry
+        wgt = 1.0 / np.linalg.norm(dy, axis=1)
+        a, b = (dy * wgt[:, None]).T
+        m0, m1 = (m * wgt[:, None]).T
+        parts = (a * a, a * b, b * b + a * a, b * b,
+                 a * m0, b * m0 + a * m1, b * m1)
+        for col, x in enumerate(parts):
+            tot[v0:v1, col] = np.bincount(i - v0, x, minlength=v1 - v0)
     ATA = tot[:, [[0, 1, 7], [1, 2, 1], [7, 1, 3]]] + SHAPE_RIDGE * np.eye(3)
     c = np.linalg.solve(ATA, tot[:, 4:7, None])[..., 0]
     B = np.linalg.solve(II, c[:, [[0, 1], [1, 2]]])
@@ -387,12 +398,19 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
 def _metric_operator(mesh: DiskMesh, metric):
     """P1 stiffness and lumped mass of a per-vertex 2x2 metric field."""
     g = mesh.fem
-    M = np.asarray(metric)[mesh.triangles].mean(axis=1)
+    M = np.asarray(metric).take(mesh.triangles, axis=0).mean(axis=1)
     Minv = np.linalg.inv(M)
     sdet = np.sqrt(np.maximum(np.linalg.det(M), TINY))
-    K = p1_matrix(mesh, lambda ga, gb: np.einsum("md,mde,me->m", ga, Minv, gb)
-                  * g["area"] * sdet)
-    return K, corner_sum(mesh, (g["area"] * sdet / 3.0)[:, None])
+    # element matrices grad N_a . Minv grad N_b, summed over (d, e) in
+    # row-major order as einsum("md,mde,me->m") sums them, times area sdet
+    ga, gb = g["grads"][:, :, None], g["grads"][:, None]
+    E = np.zeros((len(M), 3, 3))
+    for d in range(2):
+        for e in range(2):
+            E += ga[..., d] * Minv[:, None, None, d, e] * gb[..., e]
+    E *= g["area"][:, None, None]
+    E *= sdet[:, None, None]
+    return p1_matrix(mesh, E), corner_sum(mesh, (g["area"] * sdet / 3.0)[:, None])
 
 
 def chi_residual(sd: ShapeData):

@@ -244,8 +244,9 @@ class TestWidth:
         assert matches_all_pairs(mixed)
 
     def test_swapped_boundaries_have_no_ordered_pair(self):
-        # every timelike edge pair then runs from future to past
-        h = HU.convex_hull(step_curve(0.5, 128))
+        # every timelike edge pair then runs from future to past; at 512
+        # samples a search that tries the values one at a time takes seconds
+        h = HU.convex_hull(step_curve(0.5, 512))
         assert HU.width(h).width_raw > 0.3
         swapped = dataclasses.replace(h, labels=-h.labels)
         assert HU.width(swapped).width_raw == 0.0
@@ -461,6 +462,12 @@ class TestRowBlocks:
         block = i // HULL_BLOCK_ROWS == width_all_pairs(h)[3] // HULL_BLOCK_ROWS
         least = block & (cos == cos[block].min())
         assert not causal[least].any()
+        assert matches_all_pairs(h)
+
+    @pytest.mark.parametrize("x", [-0.5, 0.0, 0.5])
+    def test_block_of_noncausal_least_values_matches_all_pairs(self, x):
+        # such a block is searched in one pass over its values below best
+        h = labels_swapped_left_of(HU.convex_hull(step_curve(0.5, 256)), x)
         assert matches_all_pairs(h)
 
     def test_graph_margins_build_no_vertex_facet_table(self):

@@ -138,12 +138,14 @@ class TestMeshCache:
 
     def test_cached_arrays_are_read_only(self):
         m = MM.make_mesh(1.5, 8, 24)
-        arrays = [m.edges, m.two_ring_pairs, *m.fem.values()]
+        arrays = [m.edges, m.two_ring_pairs, *m.fem.values(),
+                  *m.fit_moments.values()]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
-        with pytest.raises(TypeError):
-            m.fem["area"] = None
+        for cache in (m.fem, m.fit_moments):
+            with pytest.raises(TypeError):
+                cache["area"] = None
 
     def test_vertex_neighbors_matches_unique(self):
         m = MM.make_mesh(1.5, 8, 24)
@@ -204,3 +206,29 @@ class TestP1Scatter:
         K = SF.tangent_stiffness(m, u)
         for name in ("indptr", "indices", "data"):
             assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_metric_operator_matches_coo_loop(self):
+        # chi_residual's operator, against one einsum per corner pair
+        S = SF.horosphere_surface(MM.make_mesh(1.5, 8, 24))
+        m, metric = S.mesh, SF.shape_data(S).I
+        g = m.fem
+        M = metric[m.triangles].mean(axis=1)
+        Minv = np.linalg.inv(M)
+        sdet = np.sqrt(np.maximum(np.linalg.det(M), 1e-300))
+        rows, cols, vals = [], [], []
+        for a in range(3):
+            for b in range(3):
+                vals.append(np.einsum("md,mde,me->m", g["grads"][:, a], Minv,
+                                      g["grads"][:, b]) * g["area"] * sdet)
+                rows.append(m.triangles[:, a])
+                cols.append(m.triangles[:, b])
+        ref = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(m.n_vertices, m.n_vertices)).tocsr()
+        K, mass = SF._metric_operator(m, metric)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(K, name).tobytes() == getattr(ref, name).tobytes()
+        ref_mass = np.zeros(m.n_vertices)
+        for k in range(3):
+            np.add.at(ref_mass, m.triangles[:, k], g["area"] * sdet / 3.0)
+        assert mass.tobytes() == ref_mass.tobytes()

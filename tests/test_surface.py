@@ -7,6 +7,7 @@ from adsmax import lorentz as L
 from adsmax import mesh as MM
 from adsmax import solver as SV
 from adsmax import surface as SF
+from adsmax.constants import PAIR_BLOCK
 
 RNG = np.random.default_rng(42)
 TILT = L.apply_isometry(L.random_isometry(RNG, 0.4), L.E4)
@@ -218,6 +219,62 @@ def lstsq_fit(mesh, u):
     return du, hess
 
 
+def moment_table_fit(mesh, u):
+    """Reference for fit_derivatives' bits: the whole fit in one pass over
+    all pairs, with every weighted moment in an (n, 13, 13) table."""
+    exp = np.array(CUBIC_EXP)
+    inner = mesh.deep_interior_mask(0)
+    n = np.count_nonzero(inner)
+    pairs = mesh.two_ring_pairs
+    keep = inner[pairs[:, 0]]
+    i = (np.cumsum(inner) - 1)[pairs[keep, 0]]
+    k = pairs[keep, 1]
+    x = mesh.vertices[k] - mesh.vertices[inner][i]
+    cnt = np.bincount(i, minlength=n)
+    scale = np.bincount(i, np.linalg.norm(x, axis=1), minlength=n)
+    scale = scale / np.maximum(cnt, 1.0)
+    x /= scale[i, None]
+    du = u[k] - u[inner][i]
+    w = 1.0 / (1.0 + (x**2).sum(axis=1))
+    top = 2 * exp.max()
+    col = {(p, q): a for a, (p, q) in enumerate(CUBIC_EXP)}
+    moments = np.zeros((n, top + 1, top + 1))
+    ATB = np.empty((n, len(exp)))
+    for p in range(top + 1):
+        wp = wp * x[:, 0] if p else w
+        wpq = wp
+        for q in range(top + 1 - p):
+            if q:
+                x2q = x2q * x[:, 1] if q > 1 else x[:, 1]
+                wpq = wp * x2q
+            if p + q >= 2:
+                moments[:, p, q] = np.bincount(i, wpq, minlength=n)
+            if (p, q) in col:
+                ATB[:, col[p, q]] = np.bincount(i, wpq * du, minlength=n)
+    ep, eq = exp[:, 0], exp[:, 1]
+    ATA = moments[:, ep[:, None] + ep, eq[:, None] + eq]
+    ATA += 1e-12 * np.eye(len(exp))
+    c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
+    s = scale
+    du = np.full((mesh.n_vertices, 2), np.nan)
+    hess = np.full((mesh.n_vertices, 3), np.nan)
+    du[inner] = np.stack([c[:, 0] / s, c[:, 1] / s], axis=-1)
+    hess[inner] = np.stack(
+        [2 * c[:, 2] / s**2, c[:, 3] / s**2, 2 * c[:, 4] / s**2], axis=-1)
+    return du, hess
+
+
+def same_fit_bits(mesh, u):
+    fit = SF.fit_derivatives(mesh, u)
+    du, hess = moment_table_fit(mesh, u)
+    return (fit["du"].tobytes() == du.tobytes()
+            and fit["hess"].tobytes() == hess.tobytes())
+
+
+def pair_blocks(mesh):
+    return list(MM.vertex_blocks(mesh, mesh.two_ring_pairs[:, 0]))
+
+
 class TestFitDerivatives:
     @pytest.mark.parametrize("field", ["umbilic", "trig"])
     def test_matches_per_vertex_lstsq(self, field):
@@ -236,19 +293,62 @@ class TestFitDerivatives:
             assert err <= 1e-10 * np.abs(ref[inner]).max()
             assert np.isnan(got[~inner]).all()
 
-    def test_peak_memory_is_a_few_pair_arrays(self):
-        # the moment sums keep a few per-pair arrays alive, not one per
-        # power; the cached pair list is not counted
+    def test_matches_moment_table_bitwise(self):
+        # a fresh mesh builds its moments; a second surface over the same
+        # mesh reads them from the cache
         m = MM.make_mesh(3.0, 26, 84)
+        assert "fit_moments" not in vars(m)
+        assert same_fit_bits(m, SF.umbilic_surface(m, 0.4).u)
+        assert "fit_moments" in vars(m)
+        assert same_fit_bits(m, np.sin(3 * m.vertices[:, 0]) * m.vertices[:, 1])
+
+    @pytest.mark.parametrize("dims, several", [((1.4, 8, 24), False),
+                                               ((2.5, 37, 41), True)],
+                             ids=["one_block", "uneven_blocks"])
+    def test_matches_moment_table_on_any_blocks(self, dims, several):
+        m = MM.make_mesh(*dims)
+        assert (len(pair_blocks(m)) > 1) == several
+        assert len(m.two_ring_pairs) % PAIR_BLOCK != 0
+        assert same_fit_bits(m, SF.umbilic_surface(m, 0.4).u)
+
+    def test_blocks_cover_the_pairs_by_whole_vertices(self):
+        m = MM.make_mesh(3.0, 26, 84)
+        pairs = m.two_ring_pairs
+        v0, v1, lo, hi = np.array(pair_blocks(m)).T
+        assert v0[0] == 0 and v1[-1] == m.n_vertices and lo[0] == 0
+        assert np.array_equal(v0[1:], v1[:-1]) and np.array_equal(lo[1:], hi[:-1])
+        assert hi[-1] == len(pairs)
+        # the central fan gives the first ring's vertices ~90 pairs each,
+        # so blocks are cut by pairs, not by a vertex count
+        assert (hi - lo).max() <= PAIR_BLOCK + np.bincount(pairs[:, 0]).max()
+        assert np.array_equal(pairs[lo, 0], v0)
+
+    def test_cached_fit_data_holds_no_pair_array(self):
+        m = MM.make_mesh(2.0, 12, 36)
+        SF.fit_derivatives(m, np.zeros(m.n_vertices))
+        n = np.count_nonzero(m.deep_interior_mask(0))
+        fm = m.fit_moments
+        assert fm["scale"].shape == (n,)
+        assert fm["moments"].shape == (n, 25)
+
+    def test_peak_memory_is_a_few_pair_arrays(self):
+        # a fresh mesh, so that the moment cache is built under the trace:
+        # the cache, a few per-vertex arrays and a few arrays of the largest
+        # block, far below one array over all pairs; the cached pair list
+        # is not counted
+        m = MM.make_mesh(3.0, 48, 160)
         u = SF.umbilic_surface(m, 0.4).u
         pairs = m.two_ring_pairs
+        n_inner = np.count_nonzero(m.deep_interior_mask(0))
+        block = max(hi - lo for _, _, lo, hi in pair_blocks(m))
         tracemalloc.start()
         try:
             SF.fit_derivatives(m, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 8 * len(pairs)
+        assert peak < 8 * (26 * n_inner + 16 * m.n_vertices + 24 * block)
+        assert peak < 3 * 8 * len(pairs)
 
 
 class TestChiResidual:
