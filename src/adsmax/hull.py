@@ -206,7 +206,8 @@ def width(hull: ConvexHull3) -> WidthReport:
             continue
         # the least value's pairs first, then, if none is causal, every
         # pair of the block below best in one pass
-        for cand in (np.flatnonzero(flat == least), np.flatnonzero(kb)):
+        for mask in (flat == least, kb):
+            cand = np.flatnonzero(mask)
             i, j = np.divmod(cand, len(p2))
             lA, lB, lC, lD = (np.log(X.ravel()[cand]) for X in gram)
             s = 0.25 * (lC + lD - lA - lB)
