@@ -51,6 +51,8 @@ FOCAL_GUARD = 1e6            # equidistant refuses when |tan(arctan |k| + |r|)| 
 MEAN_CURV_TOL = 1e-6         # terminal max-norm of H ("tol_H")
 STEP_UNDERFLOW = 1e-12       # flow step size below this aborts
 MAX_NEWTON = 60              # Newton iterations per exhaustion stage
+NEWTON_CG_RTOL = 1e-12       # relative residual at which a later Newton step's CG run (preconditioned by the solve's kept factor) stops
+NEWTON_CG_MAXITER = 60       # CG iterations per later Newton step; a step that misses this cap is solved directly and refactors
 FLOW_BUDGET = 4000           # flow steps in flow_run
 FLOW_DS_GROWTH = 1.3         # flow step growth after an accepted step
 FLOW_INFLATION = 1.5         # a flow step may raise sup|H| by at most this factor

@@ -28,7 +28,7 @@ from . import lorentz as L
 from .boundary import BoundaryCurve
 from .constants import (
     HULL_BLOCK_ROWS, POLE_MARGIN, VERTICAL_FACET_TOL)
-from .mesh import DiskMesh
+from .mesh import DiskMesh, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def _edges(hull: ConvexHull3, label: int):
     key a n + b."""
     t = np.sort(hull.simplices[hull.labels == label], axis=1).T.astype(np.int64)
     n = len(hull.points)
-    return np.array(np.divmod(np.unique(t[[0, 1, 0]] * n + t[[1, 2, 2]]), n))
+    return np.array(np.divmod(sorted_unique(t[[0, 1, 0]] * n + t[[1, 2, 2]]),
+                              n))
 
 
 def _edge_point(z, p, q, s):

@@ -86,7 +86,7 @@ class DiskMesh:
         i = t[:, [0, 1, 2, 1, 2, 0]].T.ravel().astype(np.int64)
         k = t[:, [1, 2, 0, 0, 1, 2]].T.ravel().astype(np.int64)
         # one 1-D sort of i*n + k orders the pairs as a row-wise unique does
-        code = np.unique(i * n + k)
+        code = sorted_unique(i * n + k)
         return _read_only(
             np.stack([code // n, code % n], axis=-1).astype(t.dtype))
 
@@ -159,18 +159,8 @@ class DiskMesh:
         """P1 geometry reused by every assembly over the mesh: per-triangle
         area, basis gradients, midpoint-quadrature weights and slope limit,
         and the lumped mass m_i = integral phi lambda^2 N_i."""
-        t = self.triangles
-        p = self.vertices[t]  # (M,3,2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        # P1 basis gradients: rows (M, 3 basis, 2)
-        grads = np.empty((len(t), 3, 2))
-        for k in range(3):
-            a = p[:, (k + 1) % 3]
-            b = p[:, (k + 2) % 3]
-            n = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=-1)
-            grads[:, k] = n / (2 * area)[:, None]
+        p = self.vertices[self.triangles]  # (M,3,2)
+        area, grads, slope_limit2 = p1_slopes(p)
         # midpoint quadrature (degree-2 exact): points opposite each vertex
         mids = np.stack(
             [(p[:, 1] + p[:, 2]) / 2, (p[:, 2] + p[:, 0]) / 2,
@@ -181,8 +171,6 @@ class DiskMesh:
         wq = (1 + r2q) / 2                            # phi / lambda
         phiq = (1 + r2q) / (1 - r2q)
         lam2q = 4 / (1 - r2q) ** 2
-        r2max = (p**2).sum(axis=-1).max(axis=1)       # outermost vertex of each cell
-        slope_limit2 = 4.0 / (1 + r2max) ** 2
         w = phiq * lam2q  # (M,3) at midpoints opposite each vertex
         # N_k vanishes at its opposite midpoint and is 1/2 at the other two
         mass = corner_sum(
@@ -192,6 +180,35 @@ class DiskMesh:
             slope_limit2=slope_limit2, mass=mass,
         )
         return MappingProxyType({k: _read_only(v) for k, v in geom.items()})
+
+
+def p1_slopes(p):
+    """(area, grads, slope_limit2) of triangles with corners p (M, 3, 2):
+    per-triangle area, P1 basis gradients (M, 3 basis, 2) and the squared
+    slope limit 4 / (1 + r^2)^2 at the outermost corner, the part of
+    `DiskMesh.fem` that a spacelike margin reads."""
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    grads = np.empty((len(p), 3, 2))
+    for k in range(3):
+        a = p[:, (k + 1) % 3]
+        b = p[:, (k + 2) % 3]
+        n = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=-1)
+        grads[:, k] = n / (2 * area)[:, None]
+    r2max = (p**2).sum(axis=-1).max(axis=1)
+    return area, grads, 4.0 / (1 + r2max) ** 2
+
+
+def sorted_unique(a):
+    """The distinct values of an array, flattened and sorted, as np.unique
+    gives them, by one sort and a neighbour mask (np.unique's hash path is
+    many times slower on integer keys)."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def ring_radii(radius: float, n_rings: int, n_angular: int) -> np.ndarray:

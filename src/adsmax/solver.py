@@ -12,6 +12,14 @@ used by `solve_maximal`: semi-implicit steps
 with the divergence part linearized at the step start, accept/reject on the
 margin and on non-inflation of the residual.
 
+A Newton solve factors its tangent stiffness once: the first step solves
+K(u) delta = -F directly by `splu`, and each later step runs conjugate
+gradients on K(u_k) preconditioned by that factor, which lives only as long
+as the solve.  A step whose CG run misses NEWTON_CG_MAXITER iterations
+solves directly and its factor replaces the old one.  The solve reports how
+many steps it factored and took by CG, and how many CG iterations it ran.
+The flow, the start's fill and the analysis keep their direct solves.
+
 Dirichlet data is the curve's radial trace tau(theta) on the boundary ring,
 clamped into the hull interval; this replaces the hull-restriction trace,
 which has the same asymptotic limit.  The Dirichlet problem needs only a
@@ -58,6 +66,8 @@ from .constants import (
     LINE_SEARCH_HALVINGS,
     MAX_NEWTON,
     MEAN_CURV_TOL,
+    NEWTON_CG_MAXITER,
+    NEWTON_CG_RTOL,
     SLOPE_LIMIT_ROUNDS,
     SPACELIKE_MARGIN,
     STAGNATION_COUNT,
@@ -184,14 +194,17 @@ def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
                                      floor=0.0), rim_gap
 
 
+def _factor(Kii):
+    """splu factor of an interior block.  The block is symmetric, so the
+    fill-reducing order is taken on its pattern A^T + A rather than COLAMD's
+    A^T A, which roughly halves the LU fill."""
+    return spla.splu(Kii.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 def _interior_solve(K, rhs, interior):
-    """Solve the interior rows of K x = rhs with x = 0 on the rim.  K is
-    symmetric, so the fill-reducing order is taken on its pattern A^T + A
-    rather than COLAMD's A^T A, which roughly halves the LU fill."""
-    Kii = K[interior][:, interior].tocsc()
+    """Solve the interior rows of K x = rhs with x = 0 on the rim."""
     out = np.zeros(len(rhs))
-    out[interior] = spla.splu(Kii, permc_spec="MMD_AT_PLUS_A").solve(
-        rhs[interior])
+    out[interior] = _factor(K[interior][:, interior]).solve(rhs[interior])
     return out
 
 
@@ -317,24 +330,64 @@ def flow_bound_checks(state: FlowState):
 # ---------------------------------------------------------------------------
 # damped Newton with exhaustion
 
+def _cg_step(Kii, rhs, lu):
+    """Kii x = rhs by conjugate gradients preconditioned by `lu`, the factor
+    of an earlier tangent stiffness, from x = 0 to a residual of
+    NEWTON_CG_RTOL |rhs| in at most NEWTON_CG_MAXITER iterations.  Returns
+    (x, iterations); x is None when the cap is missed."""
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    M = spla.LinearOperator(Kii.shape, matvec=lu.solve, dtype=float)
+    x, status = spla.cg(Kii, rhs, rtol=NEWTON_CG_RTOL, atol=0.0,
+                        maxiter=NEWTON_CG_MAXITER, M=M, callback=count)
+    return (x if status == 0 else None), iters
+
+
 def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig):
     """Newton iteration on F(u) = 0 with an area line search kept inside
     the spacelike cone.  Returns (u, info); info["sup_H"] is sup |H| at the
-    returned u."""
+    returned u.
+
+    The first step solves K(u) delta = -F directly and keeps the factor of
+    K for this solve.  Each later step solves by conjugate gradients
+    preconditioned by the kept factor (`_cg_step`); a step whose CG run
+    misses its cap solves directly, and its factor is kept instead.  The
+    factor lives in this frame only.  info counts the steps:
+    "direct_solves" (factored), "cg_steps" (taken by CG) and
+    "cg_iterations" (over every CG run, those that missed the cap too)."""
     u = np.asarray(u0, dtype=float).copy()
     interior = mesh.interior_mask
     hist = []
     stagnant = 0
     area0 = None  # area of u, carried over from the accepted trial
+    lu = None     # factor of the last directly solved tangent stiffness
+    solves = dict.fromkeys(("direct_solves", "cg_steps", "cg_iterations"), 0)
     for it in range(MAX_NEWTON):
         supH, F, margins = residual_norms(mesh, u)
         hist.append({"iter": it, "sup_H": supH,
                      "margin": float(margins.min())})
         if supH < cfg.tol_H:
             return u, {"converged": True, "iterations": it, "sup_H": supH,
-                       "history": hist}
-        K = SF.tangent_stiffness(mesh, u)
-        delta = _interior_solve(K, -F, interior)
+                       "history": hist, **solves}
+        Kii = SF.tangent_stiffness(mesh, u)[interior][:, interior]
+        rhs = -F[interior]
+        x = None
+        if lu is not None:
+            x, iters = _cg_step(Kii, rhs, lu)
+            solves["cg_iterations"] += iters
+        if x is None:
+            lu = None  # drop the old factor before the new one is made
+            lu = _factor(Kii)
+            x = lu.solve(rhs)
+            solves["direct_solves"] += 1
+        else:
+            solves["cg_steps"] += 1
+        delta = np.zeros(mesh.n_vertices)
+        delta[interior] = x
         if area0 is None:
             area0 = SF.graph_area(mesh, u)
         alpha = 1.0
@@ -347,17 +400,17 @@ def newton_solve(mesh: MS.DiskMesh, u0, cfg: SolveConfig):
             alpha *= 0.5
         else:
             return u, {"converged": False, "iterations": it, "sup_H": supH,
-                       "history": hist, "stagnated": True}
+                       "history": hist, "stagnated": True, **solves}
         u, area0 = u_try, area
         stagnant = stagnant + 1 if alpha < STAGNATION_STEP else 0
         if stagnant >= STAGNATION_COUNT:
             # the last history entry belongs to the previous u
             return u, {"converged": False, "iterations": it,
                        "sup_H": residual_norms(mesh, u)[0],
-                       "history": hist, "stagnated": True}
+                       "history": hist, "stagnated": True, **solves}
     supH, _, _ = residual_norms(mesh, u)
     return u, {"converged": supH < cfg.tol_H, "iterations": MAX_NEWTON,
-               "sup_H": supH, "history": hist}
+               "sup_H": supH, "history": hist, **solves}
 
 
 def warm_start(curve, mesh, prev_mesh, prev_u, chull):

@@ -56,6 +56,7 @@ from .mesh import (
     element_dots,
     make_mesh,
     p1_matrix,
+    p1_slopes,
     stencil_blocks,
     vertex_blocks,
     vertex_neighbors,
@@ -68,11 +69,15 @@ def triangle_gradients(mesh: DiskMesh, u):
     return np.einsum("mk,mkd->md", ut, g["grads"])
 
 
+def _slope_margins(triangles, grads, slope_limit2, u):
+    gu = np.einsum("mk,mkd->md", np.asarray(u, dtype=float)[triangles], grads)
+    return 1.0 - (gu**2).sum(axis=1) / slope_limit2
+
+
 def triangle_margins(mesh: DiskMesh, u):
     """Per-triangle spacelike margin 1 - |grad u|^2 / slope_limit^2."""
     g = mesh.fem
-    gu = triangle_gradients(mesh, u)
-    return 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
+    return _slope_margins(mesh.triangles, g["grads"], g["slope_limit2"], u)
 
 
 @dataclass(frozen=True)
@@ -501,7 +506,11 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
     for _ in range(40):
         y = mesh.vertices @ rot.T if rotation != 0.0 else mesh.vertices
         u = horosphere_height(y)
-        margin = float(triangle_margins(mesh, u).min())
+        # triangle_margins without the whole fem of a disk that may be
+        # dropped: only the returned disk builds it
+        _, grads, slope_limit2 = p1_slopes(mesh.vertices[mesh.triangles])
+        margin = float(_slope_margins(mesh.triangles, grads, slope_limit2,
+                                      u).min())
         if margin > 0.0:
             return SpacelikeGraph(mesh, u, margin)
         radius *= 0.95

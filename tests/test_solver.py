@@ -249,6 +249,57 @@ class TestInteriorSolve:
                 <= 1e-10 * np.abs(ref).max())
 
 
+@pytest.fixture(scope="module")
+def umbilic_start():
+    """A 7,681-vertex disk and the umbilic start r = 0.7 on it, whose
+    maximal graph with the same rim is the plane u = u(rim)."""
+    m = MM.make_mesh(3.0, 48, 160)
+    return m, SF.umbilic_surface(m, 0.7).u
+
+
+class TestNewtonSteps:
+    def test_one_factor_then_cg_steps(self, umbilic_start):
+        m, u0 = umbilic_start
+        u, info = SV.newton_solve(m, u0, SV.SolveConfig())
+        assert info["converged"] and info["iterations"] == 4
+        assert info["direct_solves"] == 1 and info["cg_steps"] == 3
+        assert 3 <= info["cg_iterations"] <= 3 * SV.NEWTON_CG_MAXITER
+        assert np.abs(u - u0[m.boundary_mask][0]).max() <= SV.MEAN_CURV_TOL
+
+    def test_cg_direction_matches_the_direct_solve(self, umbilic_start,
+                                                   monkeypatch):
+        # the second step's system, solved by CG on the first step's factor
+        m, u0 = umbilic_start
+        inner = m.interior_mask
+        lu = SV._factor(SF.tangent_stiffness(m, u0)[inner][:, inner])
+        monkeypatch.setattr(SV, "MAX_NEWTON", 1)
+        u1, _ = SV.newton_solve(m, u0, SV.SolveConfig())
+        K = SF.tangent_stiffness(m, u1)
+        F, _ = SF.residual(m, u1)
+        ref = SV._interior_solve(K, -F, inner)[inner]
+        got, iters = SV._cg_step(K[inner][:, inner], -F[inner], lu)
+        assert got is not None and 0 < iters <= SV.NEWTON_CG_MAXITER
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_missed_cap_solves_directly(self, umbilic_start, monkeypatch):
+        # one CG iteration never reaches the tolerance: every later step
+        # refactors, and the solve ends as the direct one does
+        m, u0 = umbilic_start
+        monkeypatch.setattr(SV, "NEWTON_CG_MAXITER", 1)
+        u, info = SV.newton_solve(m, u0, SV.SolveConfig())
+        assert info["converged"] and info["iterations"] == 4
+        assert info["cg_steps"] == 0
+        assert info["direct_solves"] == info["iterations"]
+        assert info["cg_iterations"] == info["iterations"] - 1
+
+    def test_repeated_solve_is_bit_equal(self, umbilic_start):
+        m, u0 = umbilic_start
+        u_a, info_a = SV.newton_solve(m, u0, SV.SolveConfig())
+        u_b, info_b = SV.newton_solve(m, u0, SV.SolveConfig())
+        assert np.array_equal(u_a, u_b)
+        assert info_a == info_b
+
+
 class TestFlow:
     def test_step_flow_converges_within_appendix_bounds(self):
         st = SV.flow_run(B.lift_graph(B.step_family(0.3), 256),

@@ -359,6 +359,15 @@ class TestChiResidual:
         sel = valid & fixed_interior(S.mesh, 0.6)
         assert np.nanmedian(np.abs(res[sel])) < 0.05
 
+    def test_clipped_horosphere_keeps_the_fem_margin(self):
+        # trial disks read only the slope part of fem; the margin of the
+        # kept disk is the one triangle_margins gives over its whole fem
+        m = MM.make_mesh(3.0, 26, 84)
+        S = SF.horosphere_surface(m, rotation=0.4)
+        assert S.mesh.radius < m.radius
+        assert "fem" not in vars(S.mesh)
+        assert S.margin == SF.triangle_margins(S.mesh, S.u).min() > 0.0
+
     def test_horosphere_refinement_decreasing(self):
         # the mollifier has one physical width on every mesh, so the
         # residual keeps halving under refinement
