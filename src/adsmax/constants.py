@@ -27,7 +27,7 @@ STEP_COEFF_CUT = 1e-17       # step_family drops Fourier coefficients at or belo
 VERTICAL_FACET_TOL = 1e-6    # |time component of facet normal| below this -> vertical
 WIDTH_REJECT_GAP = 1e-3      # solve_maximal rejects data whose width is >= pi/2 - this
 POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - this
-HULL_BLOCK_ROWS = 32         # rows (points or past edges) per block of the facet margins, of hull_heights' elementwise pass and of width's search, which takes its Gram products block by block and builds no edge-pair table; ~260 KB per buffer at 1,000 columns
+HULL_BLOCK_ROWS = 32         # rows (points or past edges) per block of the facet margins, of hull_heights' elementwise pass and of width's search, which takes its Gram products block by block and builds no edge-pair table; ~130 KB per buffer at the ~510 searched future edges of 512 samples
 
 # meshes
 PAIR_BLOCK = 8192            # pairs per block of the passes over 2-ring stencils (fit) and edges (shape_data), cut between vertices, so a block may exceed it by one vertex's pairs; 64 KB per per-pair array

@@ -24,6 +24,16 @@ def steep_image(seed, n=512):
     return step_curve(0.8, n).transform(g)
 
 
+def spiked_curve(n=128, lift=0.8):
+    """A gentle curve with one sample moved up in time by `lift` sample
+    spacings: the width then lies on the chord over that sample, between
+    the samples two apart."""
+    theta = 2 * np.pi * np.arange(n) / n
+    tau = 0.1 * np.sin(theta)
+    tau[n // 3] += lift * 2 * np.pi / n
+    return B.BoundaryCurve(theta, tau)
+
+
 def heights_with_modulo(hull, y):
     """Reference for `hull_heights`: both roots wrapped with a float modulo,
     on the whole (N, F) array at once."""
@@ -49,8 +59,12 @@ def heights_with_modulo(hull, y):
 
 def edge_pairs(hull):
     """Reference for `width`: every edge pair's value and causal test at
-    once.  A, B, C and D are taken in HULL_BLOCK_ROWS-row blocks, as `width`
-    takes them, since a BLAS product's bits depend on its row count.
+    once, over all edges with positive G.  `width` searches only the edges
+    whose chords can cross; this reference keeps the edges between adjacent
+    samples too, so it checks that leaving them out loses nothing.  A, B, C
+    and D are taken in HULL_BLOCK_ROWS-row blocks of these past edges, since
+    a BLAS product's bits depend on its row count; on the kernels tried, the
+    pairs `width` searches get the same bits from its blocks of fewer rows.
     Returns the edges and, for the pairs with positive coefficients and
     value below 1 in row-major order, the value, the past and future edge
     rows i and j, the edge parameters s and r, and the causal test."""
@@ -92,6 +106,33 @@ def width_all_pairs(hull):
 
     return (float(np.arccos(cos[k])), point(p1[i[k]], q1[i[k]], s[k]),
             point(p2[j[k]], q2[j[k]], r[k]), i[k])
+
+
+def adjacent(n, p, q):
+    """Edges (p, q) between samples next to each other on the closed curve
+    of n samples, taken from the indices modulo n."""
+    return np.isin((q - p) % n, (1, n - 1))
+
+
+def crossing(p1, q1, p2, q2):
+    """Index chords (p1, q1) and (p2, q2), each with p < q, that cross:
+    exactly one end of the second lies strictly inside the first."""
+    inside = ((p1 < p2) & (p2 < q1)).astype(int) + ((p1 < q2) & (q2 < q1))
+    return (inside == 1) & (p2 != p1) & (p2 != q1) & (q2 != p1) & (q2 != q1)
+
+
+def searched(hull):
+    """The pairs of `edge_pairs` that `width` searches, both of whose edges
+    join samples that are not adjacent.  Returns their values, causal tests
+    and rows among the searched past edges in row-major order, the searched
+    row of `width_all_pairs`' pair, and the searched past-edge count."""
+    (p1, q1, p2, q2), cos, i, j, _, _, causal = edge_pairs(hull)
+    n = len(hull.points)
+    far1, far2 = ~adjacent(n, p1, q1), ~adjacent(n, p2, q2)
+    row = np.cumsum(far1) - 1
+    on = far1[i] & far2[j]
+    return (cos[on], causal[on], row[i[on]], row[width_all_pairs(hull)[3]],
+            far1.sum())
 
 
 def labels_swapped_left_of(hull, x=0.0):
@@ -228,10 +269,43 @@ class TestWidth:
     @pytest.mark.parametrize("curve", [
         step_curve(0.3), step_curve(0.9),
         B.lift_graph(B.bump_family(0.6), 512), B.two_step_curve(512),
-        steep_image(1012),
-    ], ids=["step_0.3", "step_0.9", "bump_0.6", "two_step", "step_0.8_image"])
+        steep_image(1012), steep_image(8),
+    ], ids=["step_0.3", "step_0.9", "bump_0.6", "two_step", "step_0.8_image",
+            "step_0.8_image_8"])
     def test_least_first_matches_all_pairs(self, curve):
         assert matches_all_pairs(HU.convex_hull(curve))
+
+    def test_width_on_the_chord_over_one_sample(self):
+        # a search that dropped more edges than those between adjacent
+        # samples would miss this width
+        h = HU.convex_hull(spiked_curve())
+        (p1, q1, p2, q2), cos, i, j, _, _, causal = edge_pairs(h)
+        k = np.flatnonzero(causal)[np.argmin(cos[causal])]
+        assert min(q1[i[k]] - p1[i[k]], q2[j[k]] - p2[j[k]]) == 2
+        assert matches_all_pairs(h)
+
+    @pytest.mark.parametrize("hull", [
+        HU.convex_hull(step_curve(0.3)), HU.convex_hull(step_curve(0.9)),
+        HU.convex_hull(B.lift_graph(B.bump_family(0.6), 512)),
+        HU.convex_hull(B.two_step_curve(512)),
+        HU.convex_hull(steep_image(1012)), HU.convex_hull(steep_image(8)),
+        labels_swapped_left_of(HU.convex_hull(step_curve(0.5))),
+        HU.convex_hull(spiked_curve()),
+    ], ids=["step_0.3", "step_0.9", "bump_0.6", "two_step", "step_0.8_image",
+            "step_0.8_image_8", "step_0.5_swapped", "spike"])
+    def test_only_crossing_edges_go_below_one(self, hull):
+        # by Ptolemy's theorem on both ruling circles, a pair of chords that
+        # do not cross has value >= 1, and 1 when they share a sample; an
+        # edge between adjacent samples crosses nothing.  Step 0.8's image
+        # at seed 8 has past edges shared with future facets that are not
+        # between adjacent samples.
+        (p1, q1, p2, q2), cos, i, j, *_ = edge_pairs(hull)
+        a, b, c, d = p1[i], q1[i], p2[j], q2[j]
+        shared = (a == c) | (a == d) | (b == c) | (b == d)
+        assert (crossing(a, b, c, d) | shared).all()
+        n = len(hull.points)
+        near = adjacent(n, a, b) | adjacent(n, c, d)
+        assert np.all(cos[near] >= 1 - 1e-10)
 
     def test_search_skips_pairs_running_from_future_to_past(self):
         # with the labels over x < 0 swapped the least value belongs to a
@@ -442,24 +516,24 @@ class TestRowBlocks:
         # a larger hull first: a buffer read past the last block's rows
         # would show stale values
         h = HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128))
-        assert len(edge_pairs(h)[0][0]) % HULL_BLOCK_ROWS != 0
+        assert searched(h)[4] % HULL_BLOCK_ROWS != 0
         HU.width(HU.convex_hull(step_curve(0.9)))
         assert matches_all_pairs(h)
 
     def test_width_from_a_later_block_than_a_noncausal_least(self):
         h = labels_swapped_left_of(HU.convex_hull(step_curve(0.5, 128)))
-        _, cos, i, _, _, _, causal = edge_pairs(h)
-        first = i < HULL_BLOCK_ROWS
+        cos, causal, row, width_row, _ = searched(h)
+        first = row < HULL_BLOCK_ROWS
         least = first & (cos == cos[first].min())
         assert not causal[least].any()
-        assert width_all_pairs(h)[3] >= HULL_BLOCK_ROWS
+        assert width_row >= HULL_BLOCK_ROWS
         assert matches_all_pairs(h)
 
     def test_width_from_the_block_of_a_noncausal_least(self):
         h = labels_swapped_left_of(
             HU.convex_hull(B.lift_graph(B.bump_family(0.6), 128)), 0.5)
-        _, cos, i, _, _, _, causal = edge_pairs(h)
-        block = i // HULL_BLOCK_ROWS == width_all_pairs(h)[3] // HULL_BLOCK_ROWS
+        cos, causal, row, width_row, _ = searched(h)
+        block = row // HULL_BLOCK_ROWS == width_row // HULL_BLOCK_ROWS
         least = block & (cos == cos[block].min())
         assert not causal[least].any()
         assert matches_all_pairs(h)
