@@ -30,7 +30,7 @@ POLE_MARGIN = 1e-12          # recentered curves must keep |tau| below pi/2 - th
 HULL_BLOCK_ROWS = 32         # rows (points or past edges) per block of the facet margins, of hull_heights' elementwise pass and of width's search, which takes its Gram products block by block and builds no edge-pair table; ~130 KB per buffer at the ~510 searched future edges of 512 samples
 
 # meshes
-PAIR_BLOCK = 8192            # pairs per block of the passes over 2-ring stencils (fit) and edges (shape_data), cut between vertices, so a block may exceed it by one vertex's pairs; 64 KB per per-pair array
+PAIR_BLOCK = 8192            # entries per block of the passes over 2-ring stencils (the fit map's build) and edges (shape_data), cut between vertices, so a block may exceed it by one vertex's entries; 64 KB per per-entry array, 1.8 MB for the build's 28-row table of weighted powers
 MESH_GRADING = 0.9           # exponent of the ring spacing in ring_radii; < 1 packs rings toward the rim
 RING_SPAN_TOL = 1e-12        # ring_radii: relative error of the clamped steps' total span
 
@@ -43,7 +43,7 @@ CHI_SMOOTH_WIDTH = 0.25      # width (sqrt of variance) of the heat mollifier in
 CHI_VALID_FRAC = 0.98        # chi_residual keeps vertices whose diffused indicator exceeds this
 CONE_FLOOR = 1e-14           # floor on 1 - w^2 |grad u|^2 before the gradient function v = 1/sqrt(.) is taken
 GRADIENT_CAP = 0.999999      # vertex_gradient clamps w |du| to this fraction of the light cone
-FIT_RIDGE = 1e-12            # ridge on the normal equations of fit_derivatives' cubic fit
+FIT_RIDGE = 1e-12            # ridge on the normal equations of the cubic fit that fit_map solves once per disk (the gradient map, fit_derivatives)
 SHAPE_RIDGE = 1e-14          # ridge on the normal equations of shape_data's shape operator fit
 FOCAL_GUARD = 1e6            # equidistant refuses when |tan(arctan |k| + |r|)| exceeds this
 

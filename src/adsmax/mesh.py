@@ -18,15 +18,26 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constants import MESH_GRADING, PAIR_BLOCK, RING_SPAN_TOL
+from .constants import FIT_RIDGE, MESH_GRADING, PAIR_BLOCK, RING_SPAN_TOL
 
-# exponents (p, q) of the stencil moments sum w x1^p x2^q that
-# `DiskMesh.fit_moments` holds: every degree 2 to 6, as the normal equations
-# of a cubic fit read them, in the order `weighted_powers` makes them
-_MOMENT_DEGREE = 6
-MOMENT_EXP = tuple((p, q) for p in range(_MOMENT_DEGREE + 1)
-                   for q in range(_MOMENT_DEGREE + 1 - p) if p + q >= 2)
-
+# exponents (p, q) of the cubic fit's basis x1^p x2^q without constant term
+# (the fit passes through the vertex): du1, du2, u11, u12, u22, then the
+# cubics
+_FIT_EXP = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+            (3, 0), (2, 1), (1, 2), (0, 3))
+# the derivatives a fit map can hold, from the coefficients c_a of the
+# first five basis terms over offsets scaled by s: (factor, power) gives
+# factor * c_a / s^power
+_FIT_DERIVS = ((1.0, 1), (1.0, 1), (2.0, 2), (1.0, 2), (2.0, 2))
+# the rows w x1^p x2^q of `weighted_powers`, every degree up to 6, which the
+# fit's normal equations need: ATA[a, b] = sum w x^(e_a + e_b) reads row
+# _ATA_ROWS[a, b], and basis term a is row _BASIS_ROWS[a]
+_POWER_DEGREE = 6
+_POWERS = tuple((p, q) for p in range(_POWER_DEGREE + 1)
+                for q in range(_POWER_DEGREE + 1 - p))
+_ATA_ROWS = np.array([[_POWERS.index((p + r, q + s)) for r, s in _FIT_EXP]
+                      for p, q in _FIT_EXP])
+_BASIS_ROWS = [_POWERS.index(e) for e in _FIT_EXP]
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -37,10 +48,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class DiskMesh:
     """A triangulated disk.  Data derived from the mesh alone is computed
     on first use and cached on the instance, read-only, so it lives exactly
-    as long as the mesh: the edges and neighbour counts, the 2-ring pairs,
-    the P1 geometry `fem`, the cubic fit's stencil scales and moments
-    `fit_moments` (per vertex, no per-pair array), and the factored start
-    fill `strip_fill`."""
+    as long as the mesh: the edges and neighbour counts, the P1 geometry
+    `fem`, the vertex gradient as one sparse map `gradient_map`, and the
+    factored start fill `strip_fill`."""
 
     vertices: np.ndarray      # (N,2) Poincare coordinates
     triangles: np.ndarray     # (M,3) CCW
@@ -99,18 +109,6 @@ class DiskMesh:
             np.bincount(e[:, 0], minlength=self.n_vertices).astype(float))
 
     @cached_property
-    def two_ring_pairs(self) -> np.ndarray:
-        """COO pairs (i, k) with k in the 2-ring neighborhood of i (k != i),
-        sorted by i."""
-        e = vertex_neighbors(self)
-        n = self.n_vertices
-        A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
-                          shape=(n, n)).tocsr()
-        A2 = (A + A @ A).tocoo()
-        keep = A2.row != A2.col
-        return _read_only(np.stack([A2.row[keep], A2.col[keep]], axis=-1))
-
-    @cached_property
     def strip_fill(self):
         """Map from values on `rim_strip` to the P1 solution of
         div(phi^2 grad u) = 0 off the strip with those Dirichlet values.
@@ -130,29 +128,16 @@ class DiskMesh:
         return lambda u_strip: lu.solve(-(coupling @ u_strip))
 
     @cached_property
-    def fit_moments(self) -> MappingProxyType:
-        """The mesh-only half of `surface.fit_derivatives`' normal
-        equations, per interior vertex v (`deep_interior_mask(0)`): "scale",
-        the mean length s of its 2-ring offsets, and "moments", the sums
-        sum w x1^p x2^q over its 2-ring pairs in `MOMENT_EXP` order, with
-        x = (y_k - y_v) / s and w = 1 / (1 + |x|^2).  Built block by block
-        (`stencil_blocks`), so no per-pair array outlives its block."""
-        n = np.count_nonzero(self.deep_interior_mask(0))
-        scale = np.empty(n)
-        moments = np.empty((n, len(MOMENT_EXP)))
-        col = {e: a for a, e in enumerate(MOMENT_EXP)}
-        for rows, i, _, x in stencil_blocks(self):
-            nb = rows.stop - rows.start
-            cnt = np.bincount(i, minlength=nb)
-            s = np.bincount(i, np.linalg.norm(x, axis=1), minlength=nb)
-            s = s / np.maximum(cnt, 1.0)
-            scale[rows] = s
-            x /= s[i, None]
-            for e, wx in weighted_powers(x, _MOMENT_DEGREE):
-                if e in col:
-                    moments[rows, col[e]] = np.bincount(i, wx, minlength=nb)
-        return MappingProxyType({"scale": _read_only(scale),
-                                 "moments": _read_only(moments)})
+    def gradient_map(self) -> MappingProxyType:
+        """The per-vertex gradient as a linear map of the vertex values, in
+        CSR form (`fit_map`): "indptr" and "indices" (int32) and "data", one
+        row of coefficients per derivative (du1, du2).  Interior rows
+        (`deep_interior_mask(0)`) hold the gradient of the weighted cubic fit
+        over the vertex's 2-ring; rim rows the area-weighted mean of the P1
+        gradients of the cells at the vertex.  At (3.0, 96, 320), 13 MB; the
+        first ring's rows hold about 16 % of the entries, since the central
+        fan puts the whole first ring in each of their 2-rings."""
+        return fit_map(self, 2, rim_average=True)
 
     @cached_property
     def fem(self) -> MappingProxyType:
@@ -248,6 +233,14 @@ def ring_radii(radius: float, n_rings: int, n_angular: int) -> np.ndarray:
     return 2.0 * np.arctanh(np.exp(z))
 
 
+def ring_points(rhos, ring, theta):
+    """Poincare coordinates of points on rings `ring` (1 = innermost) of
+    hyperbolic radii rhos, at angles theta: the vertices of `make_mesh`,
+    with its bits, for any subset of them."""
+    e = np.tanh(rhos / 2.0)[ring - 1]
+    return np.stack([e * np.cos(theta), e * np.sin(theta)], axis=-1)
+
+
 def make_mesh(radius: float, n_rings: int, n_angular: int) -> DiskMesh:
     """Triangulated disk with 1 + n_rings*n_angular vertices."""
     if radius <= 0:
@@ -260,9 +253,7 @@ def make_mesh(radius: float, n_rings: int, n_angular: int) -> DiskMesh:
 
     ring = np.repeat(np.arange(1, n_rings + 1), n_angular)
     ang = (np.tile(j, n_rings) + 0.5 * (ring % 2)) * dtheta
-    e = np.repeat(np.tanh(rhos / 2.0), n_angular)
-    ring_pts = np.stack([e * np.cos(ang), e * np.sin(ang)], axis=-1)
-    vertices = np.concatenate([np.zeros((1, 2)), ring_pts])
+    vertices = np.concatenate([np.zeros((1, 2)), ring_points(rhos, ring, ang)])
     rho_v = np.concatenate([[0.0], np.repeat(rhos, n_angular)])
     theta_v = np.concatenate([[0.0], ang])
     ring_v = np.concatenate([[0], ring]).astype(np.int32)
@@ -363,59 +354,163 @@ def p1_matrix(mesh: DiskMesh, elements):
     ).tocsr()
 
 
-def vertex_blocks(mesh: DiskMesh, first):
-    """Blocks of consecutive vertices over a pair list sorted by its first
-    vertices `first`, cut where the vertex of every PAIR_BLOCK-th pair
-    starts, so that a block holds at most PAIR_BLOCK pairs plus those of
-    one vertex.  Yields (v0, v1, lo, hi): the block's vertices v0:v1 and
-    the pairs lo:hi whose first vertex lies in it.  Per vertex, a bincount
-    over a block's pairs sums in the order of one over the whole list."""
-    n = mesh.n_vertices
-    # needles of the list's dtype, so that the search makes no converted copy
-    ptr = np.searchsorted(first, np.arange(n + 1, dtype=first.dtype))
-    cuts = np.searchsorted(ptr, np.arange(0, len(first), PAIR_BLOCK),
+def vertex_blocks(ptr):
+    """Blocks of consecutive rows of a CSR pattern with row pointers ptr,
+    cut where the row of every PAIR_BLOCK-th entry starts, so that a block
+    holds at most PAIR_BLOCK entries plus those of one row.  Yields
+    (v0, v1, lo, hi): the block's rows v0:v1 and their entries lo:hi.  Per
+    row, a bincount over a block's entries sums in the order of one over
+    the whole list."""
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], PAIR_BLOCK),
                            side="right") - 1
-    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(ptr) - 1]]))
     return zip(bounds, bounds[1:], ptr[bounds], ptr[bounds[1:]])
 
 
-def stencil_blocks(mesh: DiskMesh):
-    """The 2-ring stencils of the interior vertices (`deep_interior_mask(0)`),
-    block by block (`vertex_blocks`).  Per block, yields (rows, i, k, x):
-    the slice of the block's rows among the interior vertices and, for each
-    pair (v, k) of `two_ring_pairs` with v interior and in the block, in
-    that list's order, the row i of v within the block, k and the offset
-    x = y_k - y_v.  The pairs are sorted by v, so every vertex of a block
-    has its pairs whole and in order there."""
+def two_ring(mesh: DiskMesh):
+    """CSR pattern (indptr, indices) of each vertex's 2-ring stencil: the
+    vertex itself, its neighbours and theirs, in the order of the sparse
+    product A + A A of the adjacency A (rows in order, columns not
+    sorted)."""
+    e = vertex_neighbors(mesh)
+    n = mesh.n_vertices
+    # boolean entries add as `or`, so no path count overflows or cancels
+    A = sp.csr_matrix((np.ones(len(e), dtype=bool), (e[:, 0], e[:, 1])),
+                      shape=(n, n))
+    A2 = A + A @ A
+    return A2.indptr, A2.indices
+
+
+def _p1_average_rows(mesh: DiskMesh, rows):
+    """CSR rows (indptr, indices, data (2, nnz)) of the area-weighted mean of
+    the P1 gradients of the cells at each vertex of the mask `rows`, columns
+    sorted; the other rows are empty."""
+    t = mesh.triangles
+    g = mesh.fem
+    n = mesh.n_vertices
+    cell, corner = np.nonzero(rows[t])
+    key = t[cell, corner][:, None].astype(np.int64) * n + t[cell]
+    code = sorted_unique(key)
+    at = np.searchsorted(code, key.ravel())
+    vals = g["area"][cell, None, None] * g["grads"][cell]   # (K, 3, 2)
+    row = code // n
+    share = corner_sum(mesh, g["area"][:, None])[row]
+    data = np.stack([np.bincount(at, vals[..., d].ravel(),
+                                 minlength=len(code)) / share
+                     for d in range(2)])
+    ptr = np.searchsorted(row, np.arange(n + 1))
+    return ptr, (code % n).astype(np.int32), data
+
+
+def fit_map(mesh: DiskMesh, n_derivs, rim_average=False):
+    """The first `n_derivs` of (du1, du2, u11, u12, u22) of the weighted
+    cubic fit over each interior vertex's 2-ring (`deep_interior_mask(0)`),
+    as a linear map of the vertex values: a MappingProxyType with CSR
+    "indptr" and "indices" (int32) and "data" (n_derivs, nnz), read-only.
+    Rim rows, whose one-sided stencils are ill-conditioned, hold the
+    area-weighted mean of the P1 gradients at the vertex if `rim_average`
+    (n_derivs 2), else nothing.
+
+    Offsets x to the 2-ring are scaled by the mean stencil length s and
+    weighted by w = 1/(1+|x|^2).  The normal matrix ATA[a, b] = sum w
+    x^(e_a + e_b) over the stencil, plus FIT_RIDGE on the diagonal, is
+    solved once per vertex for the rows Z of the derivatives, the gradient's
+    two apart from the others.  The coefficient of a stencil vertex k is
+    sum_a Z[a] w x_k^e_a, summed over the nine basis terms in a fixed order,
+    and the vertex's own coefficient is minus the sum of the others.  So a
+    row's bits depend neither on the blocks (`vertex_blocks`) nor on
+    n_derivs.  The arrays are preallocated and filled block by block, so no
+    per-entry array outlives its block.
+    """
+    n = mesh.n_vertices
     inner = mesh.deep_interior_mask(0)
-    row = np.cumsum(inner) - 1   # row of each vertex among the interior ones
-    pairs = mesh.two_ring_pairs
-    y = mesh.vertices
-    for v0, v1, lo, hi in vertex_blocks(mesh, pairs[:, 0]):
-        first, last = row[v0] + (not inner[v0]), row[v1 - 1] + 1
-        if last == first:
-            continue
-        v, k = pairs[lo:hi].T
+    ptr2, cols2 = two_ring(mesh)
+    lens = np.diff(ptr2)
+    counts = np.where(inner, lens, 0)
+    if rim_average:
+        rim_ptr, rim_cols, rim_data = _p1_average_rows(mesh, ~inner)
+        counts += np.diff(rim_ptr)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty((n_derivs, indptr[-1]))
+    if rim_average:
+        row = np.repeat(np.arange(n), np.diff(rim_ptr))
+        at = indptr[row] + np.arange(len(row)) - rim_ptr[row]
+        indices[at] = rim_cols
+        data[:, at] = rim_data
+    shift = indptr[:-1] - ptr2[:-1]   # where an interior row moves to
+    yt = mesh.vertices.T.copy()
+    for v0, v1, lo, hi in vertex_blocks(ptr2):
+        # every row of the block, rim rows too (they are not written), so
+        # that each row's entries are one run
+        v = np.repeat(np.arange(v0, v1), lens[v0:v1])
+        k = cols2[lo:hi]
+        coef = _fit_coefficients(yt.take(k, axis=1) - yt.take(v, axis=1),
+                                 lens[v0:v1], n_derivs)
+        at = np.arange(lo, hi) + shift[v]
         keep = inner[v]
-        v, k = v[keep], k[keep]
-        # take gathers rows several times faster than fancy indexing
-        yield (slice(first, last), row[v] - first, k,
-               y.take(k, axis=0) - y.take(v, axis=0))
+        if not keep.all():
+            at, k, coef = at[keep], k[keep], coef[:, keep]
+        indices[at] = k
+        data[:, at] = coef
+    return MappingProxyType({"indptr": _read_only(indptr),
+                             "indices": _read_only(indices),
+                             "data": _read_only(data)})
+
+
+def _fit_coefficients(x, lens, n_derivs):
+    """(n_derivs, P) coefficients of `fit_map` over the offsets x (2, P) of
+    consecutive stencils of lens[j] entries each, a stencil's own vertex
+    among them at x = 0.  That entry adds 0 to every sum below and gets the
+    coefficient 0 from the basis, then minus the sum of the others."""
+    seg = np.concatenate([[0], np.cumsum(lens[:-1])])
+    s = np.add.reduceat(np.sqrt(x[0] * x[0] + x[1] * x[1]), seg) / (lens - 1)
+    x /= np.repeat(s, lens)
+    powers = weighted_powers(x, _POWER_DEGREE)
+    ATA = np.add.reduceat(powers, seg, axis=1).T[:, _ATA_ROWS]
+    eye = np.eye(len(_FIT_EXP))
+    ATA += FIT_RIDGE * eye
+    Z = np.linalg.solve(ATA, eye[:, :2])
+    if n_derivs > 2:
+        Z = np.concatenate(
+            [Z, np.linalg.solve(ATA, eye[:, 2:n_derivs])], axis=-1)
+    factor, power = np.array(_FIT_DERIVS[:n_derivs]).T
+    Z *= (factor / s[:, None] ** power)[:, None]
+    # per entry, the fixed-order sum over the basis terms
+    coef = np.zeros((n_derivs, x.shape[1]))
+    for a, row in enumerate(_BASIS_ROWS):
+        coef += np.repeat(Z[:, a].T, lens, axis=1) * powers[row]
+    own = np.flatnonzero((x[0] == 0.0) & (x[1] == 0.0))
+    coef[:, own] = -np.add.reduceat(coef, seg, axis=1)
+    return coef
+
+
+def apply_map(vmap, u):
+    """(N, rows) values of a vertex map (`fit_map`) at vertex values u: one
+    CSR mat-vec per data row."""
+    shape = (len(vmap["indptr"]) - 1, len(u))
+    return np.stack([sp.csr_matrix((d, vmap["indices"], vmap["indptr"]),
+                                   shape=shape) @ u
+                     for d in vmap["data"]], axis=-1)
 
 
 def weighted_powers(x, degree):
-    """Yields ((p, q), w x1^p x2^q) for p + q <= degree over offsets x (P, 2),
-    w = 1 / (1 + |x|^2), p running outer and q inner.  Running products
-    keep only a few per-pair arrays alive."""
-    w = 1.0 / (1.0 + (x**2).sum(axis=1))
+    """Table of w x1^p x2^q over offsets x (2, P), w = 1 / (1 + |x|^2), one
+    row per exponent with p + q <= degree, p running outer and q inner from
+    (0, 0).  Each row is the one before it times x2, or for q = 0 the row
+    (p - 1, 0) times x1."""
+    out = np.empty(((degree + 1) * (degree + 2) // 2, x.shape[1]))
+    np.divide(1.0, 1.0 + (x[0] * x[0] + x[1] * x[1]), out=out[0])
+    j = 0
     for p in range(degree + 1):
-        wp = wp * x[:, 0] if p else w   # w x1^p
-        wpq = wp                        # w x1^p x2^q
         for q in range(degree + 1 - p):
             if q:
-                x2q = x2q * x[:, 1] if q > 1 else x[:, 1]
-                wpq = wp * x2q
-            yield (p, q), wpq
+                np.multiply(out[j - 1], x[1], out=out[j])
+            elif p:
+                np.multiply(out[j - (degree + 2 - p)], x[0], out=out[j])
+            j += 1
+    return out
 
 
 def vertex_neighbors(mesh: DiskMesh):

@@ -96,9 +96,9 @@ class SolveConfig:
     A config owns the disks of its stages: `meshes` builds them on first
     use, and every solve with the config shares them and the mesh-only data
     they cache on first use (see `DiskMesh`): the P1 geometry, the start's
-    factored fill, and for the analysis the 2-ring stencils with the cubic
-    fit's scales and moments.  Solves leave no other state on it, so one
-    config serves any number of curves.
+    factored fill, and for the analysis the vertex gradient as one sparse
+    map.  Solves leave no other state on it, so one config serves any
+    number of curves.
     """
 
     # (radius, n_rings, n_angular) per disk; one disk by default, since its

@@ -29,6 +29,7 @@ per-vertex metric.  The two routes are tied together by K = -1 - det B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +43,6 @@ from .constants import (
     CHI_SMOOTH_WIDTH,
     CHI_VALID_FRAC,
     CONE_FLOOR,
-    FIT_RIDGE,
     FOCAL_GUARD,
     GRADIENT_CAP,
     MARGIN_FLOOR,
@@ -50,17 +50,19 @@ from .constants import (
     TINY,
 )
 from .mesh import (
-    MOMENT_EXP,
     DiskMesh,
+    apply_map,
     corner_sum,
     element_dots,
+    fit_map,
     make_mesh,
     p1_matrix,
     p1_slopes,
-    stencil_blocks,
+    ring_points,
+    ring_radii,
+    sorted_unique,
     vertex_blocks,
     vertex_neighbors,
-    weighted_powers,
 )
 
 def triangle_gradients(mesh: DiskMesh, u):
@@ -118,58 +120,20 @@ def residual(mesh: DiskMesh, u):
     return F, margins
 
 
-# exponents (p, q) of the cubic basis x1^p x2^q without constant term (the
-# fit passes through the vertex): du1, du2, u11, u12, u22, then the cubics
-_FIT_EXP = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-            (3, 0), (2, 1), (1, 2), (0, 3))
-_FIT_DEGREE = 3
-# ATA[a, b] is the moment of exponent e_a + e_b: its column of fit_moments
-_ATA_COLS = np.array([[MOMENT_EXP.index((p + r, q + s)) for r, s in _FIT_EXP]
-                      for p, q in _FIT_EXP])
-
-
 def fit_derivatives(mesh: DiskMesh, u):
     """Per-vertex (du1, du2, u11, u12, u22) from a weighted cubic fit over
     the 2-ring stencil; second derivatives are O(h^2)-consistent at interior
     vertices.  Rim vertices, whose one-sided stencils are ill-conditioned,
     are not fitted and read NaN.
 
-    Offsets x to the 2-ring are scaled by the mean stencil length and
-    weighted by w = 1/(1+|x|^2).  The normal equations of the fit are
-    ATA[a, b] = sum w x^(e_a + e_b) and ATB[a] = sum w du x^e_a over each
-    vertex's pairs.  ATA depends on the mesh alone: its 25 distinct moments
-    and the scales are cached on the mesh (`DiskMesh.fit_moments`).  A call
-    forms only the 9 ATB entries, one bincount each, and solves, block by
-    block of vertices (`stencil_blocks`), so no per-pair array outlives its
-    block.
+    The fit is linear in u: each call builds its five rows as a sparse map
+    (`mesh.fit_map`, not cached, since only `mean_curvature_pointwise` reads
+    the second derivatives) and applies it.  The gradient rows have the bits
+    of the cached `DiskMesh.gradient_map`'s interior rows.
     """
-    u = np.asarray(u, dtype=float)
-    inner = mesh.deep_interior_mask(0)
-    fm = mesh.fit_moments
-    s, moments = fm["scale"], fm["moments"]
-    u_in = u[inner]
-    col = {e: a for a, e in enumerate(_FIT_EXP)}
-    fitted = np.empty((len(s), 5))  # du1, du2, u11, u12, u22
-    for rows, i, k, x in stencil_blocks(mesh):
-        nb = rows.stop - rows.start
-        sb = s[rows]
-        x /= sb[i, None]
-        du = u[k] - u_in[rows][i]
-        ATB = np.empty((nb, len(_FIT_EXP)))
-        for e, wx in weighted_powers(x, _FIT_DEGREE):
-            if e in col:
-                ATB[:, col[e]] = np.bincount(i, wx * du, minlength=nb)
-        ATA = moments[rows][:, _ATA_COLS]
-        ATA += FIT_RIDGE * np.eye(len(_FIT_EXP))
-        c = np.linalg.solve(ATA, ATB[..., None])[..., 0]
-        fitted[rows] = np.stack(
-            [c[:, 0] / sb, c[:, 1] / sb,
-             2 * c[:, 2] / sb**2, c[:, 3] / sb**2, 2 * c[:, 4] / sb**2],
-            axis=-1)
-    du = np.full((mesh.n_vertices, 2), np.nan)
-    hess = np.full((mesh.n_vertices, 3), np.nan)  # (u11, u12, u22)
-    du[inner], hess[inner] = fitted[:, :2], fitted[:, 2:]
-    return {"du": du, "hess": hess}
+    d = apply_map(fit_map(mesh, 5), np.asarray(u, dtype=float))
+    d[~mesh.deep_interior_mask(0)] = np.nan
+    return {"du": d[:, :2], "hess": d[:, 2:]}
 
 
 def mean_curvature_pointwise(S: SpacelikeGraph):
@@ -252,11 +216,11 @@ def chart_frame(y, t):
 
 
 def vertex_gradient(S: SpacelikeGraph):
-    """Per-vertex gradient of u (cubic-fit; the P1 average on the rim, which
-    the fit leaves out)."""
-    du = fit_derivatives(S.mesh, S.u)["du"]
-    rim = ~S.mesh.deep_interior_mask(0)
-    du[rim] = recovered_gradient(S.mesh, S.u)[rim]
+    """Per-vertex gradient of u: the cubic fit's gradient, and on the rim,
+    which the fit leaves out, the area-weighted P1 average.  Both are linear
+    in u, so a call is two sparse mat-vecs of the disk's cached
+    `DiskMesh.gradient_map`."""
+    du = apply_map(S.mesh.gradient_map, np.asarray(S.u, dtype=float))
     # clamp into the spacelike cone (fit overshoot near steep rims)
     w = (1 + (S.mesh.vertices**2).sum(axis=1)) / 2
     norm = np.sqrt((du**2).sum(axis=1))
@@ -280,7 +244,8 @@ class ShapeData:
     matrix of (G1, G2); B the shape operator (I-self-adjoint, symmetrized in
     the least-squares fit); J the complex structure of I with the graph
     orientation.  K_ext = -1 - det B; K_int is the angle-defect curvature of
-    I.  Entries of the curvatures on masked vertices (the rim layer) are NaN.
+    I, computed on first read, since no pipeline stage reads it.  Entries of
+    the curvatures on masked vertices (the rim layer) are NaN.
     """
 
     surface: SpacelikeGraph
@@ -295,12 +260,18 @@ class ShapeData:
     k1: np.ndarray        # (N,) principal curvatures, k1 >= k2
     k2: np.ndarray
     K_ext: np.ndarray     # (N,) -1 - det B
-    K_int: np.ndarray     # (N,) intrinsic angle-defect curvature
     mask: np.ndarray      # (N,) True where data is valid
 
     @property
     def mesh(self) -> DiskMesh:
         return self.surface.mesh
+
+    @cached_property
+    def K_int(self) -> np.ndarray:
+        """(N,) intrinsic angle-defect curvature of I."""
+        K = metric_gauss_curvature(self.mesh, self.I)
+        K[~self.mask] = np.nan
+        return K
 
 
 def _complex_structure(I):
@@ -340,6 +311,10 @@ def metric_gauss_curvature(mesh: DiskMesh, metric):
 
 
 def shape_data(S: SpacelikeGraph) -> ShapeData:
+    """The frame, normal and shape operator of S at every vertex (see
+    `ShapeData`).  The gradient is two mat-vecs of the disk's cached
+    `DiskMesh.gradient_map`; B's per-vertex 3x3 normal equations, I^-1 and
+    det B are taken in closed form, with no LAPACK call."""
     mesh = S.mesh
     y = mesh.vertices
     r2 = (y**2).sum(axis=1)
@@ -356,10 +331,12 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
 
     edges = vertex_neighbors(mesh)
     # per vertex, one bincount per distinct entry of A^T A (a^2, ab,
-    # a^2 + b^2, b^2) and of A^T m' (below), then a zero column for the
-    # corners of A^T A; the edges run in blocks of their first vertex
-    tot = np.zeros((mesh.n_vertices, 8))
-    for v0, v1, lo, hi in vertex_blocks(mesh, edges[:, 0]):
+    # a^2 + b^2, b^2) and of A^T m' (below); the edges run in blocks of
+    # their first vertex
+    tot = np.empty((mesh.n_vertices, 7))
+    ptr = np.searchsorted(edges[:, 0],
+                          np.arange(mesh.n_vertices + 1, dtype=edges.dtype))
+    for v0, v1, lo, hi in vertex_blocks(ptr):
         i, k = edges[lo:hi].T
         # take gathers rows several times faster than fancy indexing
         dy = y.take(k, axis=0) - y.take(i, axis=0)
@@ -378,25 +355,36 @@ def shape_data(S: SpacelikeGraph) -> ShapeData:
                  a * m0, b * m0 + a * m1, b * m1)
         for col, x in enumerate(parts):
             tot[v0:v1, col] = np.bincount(i - v0, x, minlength=v1 - v0)
-    ATA = tot[:, [[0, 1, 7], [1, 2, 1], [7, 1, 3]]] + SHAPE_RIDGE * np.eye(3)
-    c = np.linalg.solve(ATA, tot[:, 4:7, None])[..., 0]
-    B = np.linalg.solve(II, c[:, [[0, 1], [1, 2]]])
+    # the normal equations [[p, e, 0], [e, q, e], [0, e, s]] c = h and
+    # B = I^-1 [[c0, c1], [c1, c2]], solved in closed form
+    p, e, q, s = tot[:, :4].T
+    p, q, s = p + SHAPE_RIDGE, q + SHAPE_RIDGE, s + SHAPE_RIDGE
+    h0, h1, h2 = tot[:, 4:].T
+    e2 = e * e
+    det = p * q * s - e2 * (p + s)
+    c0 = ((q * s - e2) * h0 - e * s * h1 + e2 * h2) / det
+    c1 = (p * s * h1 - e * s * h0 - p * e * h2) / det
+    c2 = (e2 * h0 - p * e * h1 + (p * q - e2) * h2) / det
+    I00, I01, I10, I11 = II.reshape(-1, 4).T
+    detI = I00 * I11 - I01 * I10
+    B = np.stack([I11 * c0 - I01 * c1, I11 * c1 - I01 * c2,
+                  I00 * c1 - I10 * c0, I00 * c2 - I10 * c1],
+                 axis=-1).reshape(-1, 2, 2) / detI[:, None, None]
 
-    H = np.trace(B, axis1=1, axis2=2)
-    detB = np.linalg.det(B)
+    H = B[:, 0, 0] + B[:, 1, 1]
+    detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
     disc = np.maximum(H**2 - 4 * detB, 0.0)
     k1 = (H + np.sqrt(disc)) / 2
     k2 = (H - np.sqrt(disc)) / 2
     K_ext = -1.0 - detB
-    K_int = metric_gauss_curvature(mesh, II)
     J = _complex_structure(II)
 
     mask = mesh.deep_interior_mask(BOUNDARY_MASK_RINGS)
-    for arr in (H, detB, k1, k2, K_ext, K_int, B):
+    for arr in (H, detB, k1, k2, K_ext, B):
         arr[~mask] = np.nan
     return ShapeData(
         surface=S, G=G, nu=nu, v=v, I=II, B=B, J=J, H=H, detB=detB,
-        k1=k1, k2=k2, K_ext=K_ext, K_int=K_int, mask=mask,
+        k1=k1, k2=k2, K_ext=K_ext, mask=mask,
     )
 
 
@@ -404,8 +392,11 @@ def _metric_operator(mesh: DiskMesh, metric):
     """P1 stiffness and lumped mass of a per-vertex 2x2 metric field."""
     g = mesh.fem
     M = np.asarray(metric).take(mesh.triangles, axis=0).mean(axis=1)
-    Minv = np.linalg.inv(M)
-    sdet = np.sqrt(np.maximum(np.linalg.det(M), TINY))
+    # inverse and determinant of each 2x2 in closed form
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    Minv = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]],
+                    axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    sdet = np.sqrt(np.maximum(det, TINY))
     # element matrices grad N_a . Minv grad N_b, summed over (d, e) in
     # row-major order as einsum("md,mde,me->m") sums them, times area sdet
     ga, gb = g["grads"][:, :, None], g["grads"][:, None]
@@ -427,7 +418,9 @@ def chi_residual(sd: ShapeData):
     difference would amplify the O(h^2) noise of the discrete det B by
     h^{-2}: one backward-Euler heat step (M + t K) chi' = M chi with
     t = CHI_SMOOTH_WIDTH^2 / 2, whose variance CHI_SMOOTH_WIDTH^2 is the
-    same physical scale on every mesh.
+    same physical scale on every mesh.  The metric's per-triangle 2x2
+    inverses and determinants are taken in closed form; the heat step's LU
+    is most of a call.
     """
     mesh = sd.mesh
     detB = sd.detB
@@ -494,28 +487,49 @@ def horosphere_surface(mesh: DiskMesh, rotation: float = 0.0):
     The default axis is the x1-geodesic; its boundary is the four-lightlike
     tent curve and the principal curvatures are -1 and +1 everywhere.  The
     margin of the interpolant goes to zero toward the four boundary corners,
-    so when the requested mesh radius is too large the disk is clipped
-    (radius reduced until the graph certificate holds).  rotation moves the
-    surface by an isometry that keeps the closed form a graph.
+    so when the requested mesh radius is too large the disk is clipped: the
+    radius shrinks by 5 % until the graph certificate holds.  A trial
+    radius is tested on its rim cells first, and only one whose rim cells
+    all pass builds its disk and takes the margin of every cell.  rotation
+    moves the surface by an isometry that keeps the closed form a graph.
     """
     rot = np.array(
         [[np.cos(-rotation), -np.sin(-rotation)],
          [np.sin(-rotation), np.cos(-rotation)]]
     )
+    n_rings, n_angular = mesh.n_rings, mesh.n_angular
+    # a trial disk is tested on its rim cells first, where the margin runs
+    # out: they keep their vertices and directions on every trial radius,
+    # and only their ring radii move
+    cells = mesh.triangles[mesh.rim_strip[mesh.triangles].all(axis=1)]
+    ids = sorted_unique(cells)
+    cells = np.searchsorted(ids, cells)
+    ring, theta = mesh.ring_index[ids], mesh.theta[ids]
     radius = mesh.radius
-    for _ in range(40):
-        y = mesh.vertices @ rot.T if rotation != 0.0 else mesh.vertices
-        u = horosphere_height(y)
-        # triangle_margins without the whole fem of a disk that may be
-        # dropped: only the returned disk builds it
-        _, grads, slope_limit2 = p1_slopes(mesh.vertices[mesh.triangles])
-        margin = float(_slope_margins(mesh.triangles, grads, slope_limit2,
-                                      u).min())
-        if margin > 0.0:
-            return SpacelikeGraph(mesh, u, margin)
-        radius *= 0.95
-        mesh = make_mesh(radius, mesh.n_rings, mesh.n_angular)
+    for trial in range(40):
+        if trial:
+            radius *= 0.95
+            y = ring_points(ring_radii(radius, n_rings, n_angular), ring, theta)
+        else:
+            y = mesh.vertices[ids]
+        if _horosphere_graph(y, cells, rot, rotation)[1] > 0.0:
+            if trial:
+                mesh = make_mesh(radius, n_rings, n_angular)
+            u, margin = _horosphere_graph(mesh.vertices, mesh.triangles, rot,
+                                          rotation)
+            if margin > 0.0:
+                return SpacelikeGraph(mesh, u, margin)
     raise ValueError("could not certify a clipped horosphere graph")
+
+
+def _horosphere_graph(y, triangles, rot, rotation):
+    """The horosphere's heights at disk points y, and the least spacelike
+    margin of their P1 interpolant over the cells `triangles`: that of
+    `triangle_margins` without the whole fem of a disk that may be
+    dropped, since only the returned disk builds it."""
+    u = horosphere_height(y @ rot.T if rotation != 0.0 else y)
+    _, grads, slope_limit2 = p1_slopes(y[triangles])
+    return u, float(_slope_margins(triangles, grads, slope_limit2, u).min())
 
 
 def equidistant_prediction(k0, r):

@@ -75,6 +75,7 @@ PAPER_CHECKS = {
     "flow_run": "the normal flow of the appendix converges",
     "flow_bound_checks": "the appendix bounds on H and on the flow displacement hold",
     "mean_curvature_pointwise": "closed-form H of planes, umbilic surfaces and the horosphere",
+    "K_int": "Gauss equation: the angle-defect curvature of I matches -1 - det B",
     "plane_surface": "planes are maximal, and a plane's dual point is its normal",
     "equidistant": "principal curvatures evolve as tan(arctan k - r) along the normal flow",
     "from_knots": "every sampled monotone degree-1 map lifts to an achronal curve",

@@ -57,6 +57,13 @@ class TestMakeMesh:
         assert np.array_equal(m.triangles, triangles)
         assert np.array_equal(m.vertices, vertices)
 
+    def test_ring_points_give_the_vertex_bits(self):
+        m = MM.make_mesh(2.5, 17, 53)
+        ids = np.random.default_rng(1).choice(
+            np.arange(1, m.n_vertices), 200, replace=False)
+        y = MM.ring_points(m.ring_rhos, m.ring_index[ids], m.theta[ids])
+        assert y.tobytes() == m.vertices[ids].tobytes()
+
     def test_vertex_count(self):
         m = MM.make_mesh(2.0, 16, 48)
         assert m.n_vertices == 769  # center + 16*48
@@ -130,7 +137,8 @@ class TestMeshCache:
     def test_cache_dies_with_mesh(self):
         m = MM.make_mesh(1.5, 8, 24)
         SF.triangle_margins(m, np.zeros(m.n_vertices))
-        SF.fit_derivatives(m, np.zeros(m.n_vertices))
+        SF.vertex_gradient(SF.SpacelikeGraph(m, np.zeros(m.n_vertices)))
+        assert "gradient_map" in vars(m)
         ref = weakref.ref(m)
         del m
         gc.collect()
@@ -138,12 +146,11 @@ class TestMeshCache:
 
     def test_cached_arrays_are_read_only(self):
         m = MM.make_mesh(1.5, 8, 24)
-        arrays = [m.edges, m.two_ring_pairs, *m.fem.values(),
-                  *m.fit_moments.values()]
+        arrays = [m.edges, *m.fem.values(), *m.gradient_map.values()]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
-        for cache in (m.fem, m.fit_moments):
+        for cache in (m.fem, m.gradient_map):
             with pytest.raises(TypeError):
                 cache["area"] = None
 
@@ -213,8 +220,14 @@ class TestP1Scatter:
         m, metric = S.mesh, SF.shape_data(S).I
         g = m.fem
         M = metric[m.triangles].mean(axis=1)
-        Minv = np.linalg.inv(M)
-        sdet = np.sqrt(np.maximum(np.linalg.det(M), 1e-300))
+        # the operator's closed-form 2x2 inverse and determinant, which
+        # match LAPACK's to round-off
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        Minv = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]],
+                        axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+        assert np.abs(Minv - np.linalg.inv(M)).max() <= 1e-14 * np.abs(Minv).max()
+        assert np.abs(det - np.linalg.det(M)).max() <= 1e-14 * np.abs(det).max()
+        sdet = np.sqrt(np.maximum(det, 1e-300))
         rows, cols, vals = [], [], []
         for a in range(3):
             for b in range(3):

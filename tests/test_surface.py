@@ -163,6 +163,42 @@ class TestShapeData:
         sel = sd.mask & fixed_interior(m)
         assert np.nanmedian(np.abs(sd.H - Hp)[sel]) < 0.01
 
+    def test_closed_forms_match_lapack(self):
+        # B from the closed-form 3x3 normal equations and 2x2 inverse,
+        # against lstsq over each vertex's unit-scaled edges and
+        # np.linalg.solve (measured 1.1e-14 relative); det B against
+        # np.linalg.det
+        m = MM.make_mesh(2.0, 16, 48)
+        y = m.vertices
+        S = SF.SpacelikeGraph.certify(
+            m, 0.3 * np.sin(2 * y[:, 0]) * np.cos(y[:, 1]) + 0.2 * y[:, 1]**2)
+        sd = SF.shape_data(S)
+        e = MM.vertex_neighbors(m)
+        for v in np.flatnonzero(sd.mask)[::5]:
+            k = e[e[:, 0] == v, 1]
+            dy = y[k] - y[v]
+            Gm = 0.5 * (sd.G[v] + sd.G[k])
+            mv = np.einsum("ed,d,ead->ea", sd.nu[k] - sd.nu[v], L.SIGNATURE, Gm)
+            wgt = 1 / np.linalg.norm(dy, axis=1)
+            a, b = (dy * wgt[:, None]).T
+            z = np.zeros_like(a)
+            A = np.concatenate([np.stack([a, b, z], -1), np.stack([z, a, b], -1)])
+            c = np.linalg.lstsq(A, np.concatenate(mv.T * wgt), rcond=None)[0]
+            B = np.linalg.solve(sd.I[v], [[c[0], c[1]], [c[1], c[2]]])
+            assert np.abs(B - sd.B[v]).max() <= 1e-12 * np.abs(B).max()
+        sel = sd.mask
+        assert np.abs(np.linalg.det(sd.B[sel]) - sd.detB[sel]).max() <= 1e-15
+        assert np.array_equal(np.trace(sd.B[sel], axis1=1, axis2=2), sd.H[sel])
+
+    def test_intrinsic_curvature_is_computed_on_first_read(self):
+        m = MM.make_mesh(2.0, 16, 48)
+        sd = SF.shape_data(SF.umbilic_surface(m, 0.3))
+        assert "K_int" not in vars(sd)
+        K = SF.metric_gauss_curvature(m, sd.I)
+        K[~sd.mask] = np.nan
+        assert sd.K_int.tobytes() == K.tobytes()
+        assert sd.K_int is sd.K_int
+
     def test_horosphere_principal_curvatures(self):
         m = MM.make_mesh(2.0, 24, 72)
         S = SF.horosphere_surface(m)
@@ -199,10 +235,18 @@ CUBIC_EXP = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
+def two_ring_pairs(mesh):
+    """(i, k) pairs with k in the 2-ring of i, k != i, in `two_ring` order."""
+    ptr, cols = MM.two_ring(mesh)
+    row = np.repeat(np.arange(mesh.n_vertices), np.diff(ptr))
+    keep = row != cols
+    return np.stack([row[keep], cols[keep]], axis=-1)
+
+
 def lstsq_fit(mesh, u):
     """Reference for fit_derivatives: one weighted least-squares cubic fit
     per vertex, solved by lstsq instead of the normal equations."""
-    pairs = mesh.two_ring_pairs
+    pairs = two_ring_pairs(mesh)
     du = np.empty((mesh.n_vertices, 2))
     hess = np.empty((mesh.n_vertices, 3))
     for v in range(mesh.n_vertices):
@@ -220,12 +264,14 @@ def lstsq_fit(mesh, u):
 
 
 def moment_table_fit(mesh, u):
-    """Reference for fit_derivatives' bits: the whole fit in one pass over
-    all pairs, with every weighted moment in an (n, 13, 13) table."""
+    """Reference for fit_derivatives: the fit as a call solved it before it
+    became a map, in one pass over all pairs, with every weighted moment in
+    an (n, 13, 13) table and one solve per vertex for the coefficients of
+    the differences u_k - u_v."""
     exp = np.array(CUBIC_EXP)
     inner = mesh.deep_interior_mask(0)
     n = np.count_nonzero(inner)
-    pairs = mesh.two_ring_pairs
+    pairs = two_ring_pairs(mesh)
     keep = inner[pairs[:, 0]]
     i = (np.cumsum(inner) - 1)[pairs[keep, 0]]
     k = pairs[keep, 1]
@@ -264,15 +310,39 @@ def moment_table_fit(mesh, u):
     return du, hess
 
 
-def same_fit_bits(mesh, u):
-    fit = SF.fit_derivatives(mesh, u)
-    du, hess = moment_table_fit(mesh, u)
-    return (fit["du"].tobytes() == du.tobytes()
-            and fit["hess"].tobytes() == hess.tobytes())
+def map_rows(vmap, rows):
+    """(indices, data) of the entries of the rows `rows` (a mask) of a
+    vertex map."""
+    sel = np.repeat(rows, np.diff(vmap["indptr"]))
+    return vmap["indices"][sel], vmap["data"][:, sel]
 
 
-def pair_blocks(mesh):
-    return list(MM.vertex_blocks(mesh, mesh.two_ring_pairs[:, 0]))
+def same_map_bits(a, b):
+    return all(a[key].tobytes() == b[key].tobytes() and
+               a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+               for key in ("indptr", "indices", "data"))
+
+
+def cubic(y):
+    """A cubic, its gradient and its (u11, u12, u22)."""
+    y1, y2 = y.T
+    u = 0.7 + 0.3 * y1 - 0.2 * y2 + 0.5 * y1**2 - 0.4 * y1 * y2**2 + 0.1 * y2**3
+    du = np.stack([0.3 + y1 - 0.4 * y2**2, -0.2 - 0.8 * y1 * y2 + 0.3 * y2**2],
+                  axis=-1)
+    hess = np.stack([np.ones_like(y1), -0.8 * y2, -0.8 * y1 + 0.6 * y2],
+                    axis=-1)
+    return u, du, hess
+
+
+def assert_near_moment_table(m):
+    inner = m.deep_interior_mask(0)
+    for u in (SF.umbilic_surface(m, 0.4).u,
+              np.sin(3 * m.vertices[:, 0]) * m.vertices[:, 1]):
+        fit = SF.fit_derivatives(m, u)
+        for key, ref, bound in zip(("du", "hess"), moment_table_fit(m, u),
+                                   (1e-12, 1e-10)):
+            err = np.abs(fit[key] - ref)[inner].max()
+            assert err <= bound * np.abs(ref[inner]).max()
 
 
 class TestFitDerivatives:
@@ -293,62 +363,125 @@ class TestFitDerivatives:
             assert err <= 1e-10 * np.abs(ref[inner]).max()
             assert np.isnan(got[~inner]).all()
 
-    def test_matches_moment_table_bitwise(self):
-        # a fresh mesh builds its moments; a second surface over the same
-        # mesh reads them from the cache
+    def test_matches_moment_table(self):
+        # the map sums u_k times coefficients where the table fit summed
+        # u_k - u_v: measured 3.6e-14 (du) and 9.4e-12 (hess) relative here
         m = MM.make_mesh(3.0, 26, 84)
-        assert "fit_moments" not in vars(m)
-        assert same_fit_bits(m, SF.umbilic_surface(m, 0.4).u)
-        assert "fit_moments" in vars(m)
-        assert same_fit_bits(m, np.sin(3 * m.vertices[:, 0]) * m.vertices[:, 1])
+        assert_near_moment_table(m)
 
     @pytest.mark.parametrize("dims, several", [((1.4, 8, 24), False),
                                                ((2.5, 37, 41), True)],
                              ids=["one_block", "uneven_blocks"])
     def test_matches_moment_table_on_any_blocks(self, dims, several):
         m = MM.make_mesh(*dims)
-        assert (len(pair_blocks(m)) > 1) == several
-        assert len(m.two_ring_pairs) % PAIR_BLOCK != 0
-        assert same_fit_bits(m, SF.umbilic_surface(m, 0.4).u)
+        ptr = MM.two_ring(m)[0]
+        assert (len(list(MM.vertex_blocks(ptr))) > 1) == several
+        assert ptr[-1] % PAIR_BLOCK != 0
+        assert_near_moment_table(m)
+
+    def test_fit_derivatives_gradient_is_the_maps(self):
+        # the five-row fit and the cached gradient map share their interior
+        # rows bit for bit, entries and values
+        m = MM.make_mesh(3.0, 26, 84)
+        u = SF.umbilic_surface(m, 0.4).u
+        inner = m.deep_interior_mask(0)
+        gm = m.gradient_map
+        fm = MM.fit_map(m, 5)
+        (gi, gd), (fi, fd) = map_rows(gm, inner), map_rows(fm, inner)
+        assert np.array_equal(gi, fi)
+        assert gd.tobytes() == fd[:2].tobytes()
+        du = SF.fit_derivatives(m, u)["du"]
+        assert du[inner].tobytes() == MM.apply_map(gm, u)[inner].tobytes()
+
+    def test_reproduces_cubics_inside_and_linear_functions_on_the_rim(self):
+        m = MM.make_mesh(2.0, 16, 48)
+        y = m.vertices
+        inner = m.deep_interior_mask(0)
+        u, du, hess = cubic(y)
+        got = MM.apply_map(m.gradient_map, u)
+        assert np.abs(got - du)[inner].max() <= 1e-10 * np.abs(du).max()
+        fit = SF.fit_derivatives(m, u)
+        assert np.abs(fit["hess"] - hess)[inner].max() <= 1e-8
+        # the rim rows average P1 gradients, exact on linear functions
+        got = MM.apply_map(m.gradient_map, 0.7 + 0.3 * y[:, 0] - 0.2 * y[:, 1])
+        assert np.abs(got[~inner] - [0.3, -0.2]).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(1.4, 8, 24), (2.5, 37, 41)])
+    def test_blocks_do_not_move_bits(self, dims, monkeypatch):
+        # the map built in one block equals the map built in uneven blocks,
+        # for the cached gradient rows and the five-row fit
+        maps = []
+        for block in (10**9, 1000 + 7):
+            monkeypatch.setattr(MM, "PAIR_BLOCK", block)
+            m = MM.make_mesh(*dims)
+            blocks = list(MM.vertex_blocks(MM.two_ring(m)[0]))
+            maps.append((len(blocks), m.gradient_map, MM.fit_map(m, 5)))
+        (n1, g1, f1), (n2, g2, f2) = maps
+        assert n1 == 1 and n2 > 2
+        assert same_map_bits(g1, g2) and same_map_bits(f1, f2)
+
+    def test_fresh_disk_equals_cache_hit(self):
+        m = MM.make_mesh(3.0, 26, 84)
+        S = SF.umbilic_surface(m, 0.4)
+        assert "gradient_map" not in vars(m)
+        fresh = SF.vertex_gradient(S)
+        assert "gradient_map" in vars(m)
+        assert SF.vertex_gradient(S).tobytes() == fresh.tobytes()
+        other = MM.make_mesh(3.0, 26, 84)
+        assert same_map_bits(other.gradient_map, m.gradient_map)
 
     def test_blocks_cover_the_pairs_by_whole_vertices(self):
         m = MM.make_mesh(3.0, 26, 84)
-        pairs = m.two_ring_pairs
-        v0, v1, lo, hi = np.array(pair_blocks(m)).T
+        ptr = MM.two_ring(m)[0]
+        v0, v1, lo, hi = np.array(list(MM.vertex_blocks(ptr))).T
         assert v0[0] == 0 and v1[-1] == m.n_vertices and lo[0] == 0
         assert np.array_equal(v0[1:], v1[:-1]) and np.array_equal(lo[1:], hi[:-1])
-        assert hi[-1] == len(pairs)
+        assert hi[-1] == ptr[-1]
         # the central fan gives the first ring's vertices ~90 pairs each,
         # so blocks are cut by pairs, not by a vertex count
-        assert (hi - lo).max() <= PAIR_BLOCK + np.bincount(pairs[:, 0]).max()
-        assert np.array_equal(pairs[lo, 0], v0)
+        assert (hi - lo).max() <= PAIR_BLOCK + np.diff(ptr).max()
+        assert np.array_equal(ptr[v0], lo)
 
-    def test_cached_fit_data_holds_no_pair_array(self):
+    def test_gradient_map_layout(self):
+        # two float64 rows over one int32 index: the 2-ring and the vertex
+        # on interior rows, the 1-ring and the vertex on rim rows; no moment
+        # table and no pair list stay on the mesh
         m = MM.make_mesh(2.0, 12, 36)
-        SF.fit_derivatives(m, np.zeros(m.n_vertices))
-        n = np.count_nonzero(m.deep_interior_mask(0))
-        fm = m.fit_moments
-        assert fm["scale"].shape == (n,)
-        assert fm["moments"].shape == (n, 25)
+        SF.vertex_gradient(SF.umbilic_surface(m, 0.4))
+        gm = m.gradient_map
+        assert sorted(gm) == ["data", "indices", "indptr"]
+        nnz = gm["indptr"][-1]
+        assert gm["indptr"].dtype == gm["indices"].dtype == np.int32
+        assert gm["indptr"].shape == (m.n_vertices + 1,)
+        assert gm["indices"].shape == (nnz,)
+        assert gm["data"].dtype == np.float64 and gm["data"].shape == (2, nnz)
+        inner = m.deep_interior_mask(0)
+        lens = np.diff(gm["indptr"])
+        assert np.array_equal(lens[inner], np.diff(MM.two_ring(m)[0])[inner])
+        assert np.array_equal(lens[~inner], m.neighbor_count[~inner] + 1)
+        cached = {k for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+        assert cached <= {"vertices", "triangles", "rho", "theta", "ring_index",
+                          "ring_rhos", "edges", "neighbor_count"}
+        assert not hasattr(m, "fit_moments") and not hasattr(m, "two_ring_pairs")
 
     def test_peak_memory_is_a_few_pair_arrays(self):
-        # a fresh mesh, so that the moment cache is built under the trace:
-        # the cache, a few per-vertex arrays and a few arrays of the largest
-        # block, far below one array over all pairs; the cached pair list
-        # is not counted
+        # a fresh mesh, so that the map is built under the trace: the map,
+        # the 2-ring pattern (int32 index and bool), a few per-vertex arrays
+        # and one block's arrays, among them its 28-row table of weighted
+        # powers; no per-entry array over all entries besides the map's
         m = MM.make_mesh(3.0, 48, 160)
-        u = SF.umbilic_surface(m, 0.4).u
-        pairs = m.two_ring_pairs
-        n_inner = np.count_nonzero(m.deep_interior_mask(0))
-        block = max(hi - lo for _, _, lo, hi in pair_blocks(m))
+        m.fem
+        ptr = MM.two_ring(m)[0]
+        nnz = ptr[-1]
+        block = max(hi - lo for _, _, lo, hi in MM.vertex_blocks(ptr))
         tracemalloc.start()
         try:
-            SF.fit_derivatives(m, u)
+            gm = m.gradient_map
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (26 * n_inner + 16 * m.n_vertices + 24 * block)
-        assert peak < 3 * 8 * len(pairs)
+        map_bytes = sum(a.nbytes for a in gm.values())
+        assert peak < map_bytes + 5 * nnz + 8 * (16 * m.n_vertices + 48 * block)
 
 
 class TestChiResidual:
@@ -428,7 +561,42 @@ class TestEquidistant:
             SF.equidistant(S, 0.2)
 
 
+def clip_by_whole_disks(mesh, rotation):
+    """Reference for horosphere_surface's clip: each 5 % shrink builds its
+    whole disk and takes the margin of every cell."""
+    rot = np.array([[np.cos(-rotation), -np.sin(-rotation)],
+                    [np.sin(-rotation), np.cos(-rotation)]])
+    radius, trials = mesh.radius, 1
+    while True:
+        y = mesh.vertices @ rot.T if rotation != 0.0 else mesh.vertices
+        u = SF.horosphere_height(y)
+        margin = float(SF.triangle_margins(mesh, u).min())
+        if margin > 0.0:
+            return SF.SpacelikeGraph(mesh, u, margin), trials
+        radius *= 0.95
+        trials += 1
+        mesh = MM.make_mesh(radius, mesh.n_rings, mesh.n_angular)
+
+
 class TestHorosphereSurface:
+    @pytest.mark.parametrize("dims", [(1.5, 8, 24), (2.0, 16, 48),
+                                      (3.0, 26, 84)])
+    @pytest.mark.parametrize("rotation", [0.0, 0.4, 2.2])
+    def test_rim_first_clip_keeps_the_bits(self, dims, rotation):
+        # trial disks are tested on their rim cells first; the certified
+        # radius, the mesh, the heights and the margin are those of the
+        # clip that tests every cell of every trial disk
+        m = MM.make_mesh(*dims)
+        ref, trials = clip_by_whole_disks(m, rotation)
+        S = SF.horosphere_surface(m, rotation=rotation)
+        assert S.mesh.radius == ref.mesh.radius
+        assert (trials > 1) == (dims[0] >= 2.0)
+        for name in ("vertices", "triangles", "rho", "theta", "ring_rhos"):
+            assert (getattr(S.mesh, name).tobytes()
+                    == getattr(ref.mesh, name).tobytes())
+        assert S.u.tobytes() == ref.u.tobytes() and S.margin == ref.margin
+
+
     def test_boundary_is_tent(self):
         # u extends continuously to the tent curve tau = dist(theta, pi Z)
         m = MM.make_mesh(3.5, 24, 72)
