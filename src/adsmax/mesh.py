@@ -49,8 +49,8 @@ class DiskMesh:
     """A triangulated disk.  Data derived from the mesh alone is computed
     on first use and cached on the instance, read-only, so it lives exactly
     as long as the mesh: the edges and neighbour counts, the P1 geometry
-    `fem`, the vertex gradient as one sparse map `gradient_map`, and the
-    factored start fill `strip_fill`."""
+    `fem` and the midpoint rule `quadrature`, the vertex gradient as one
+    sparse map `gradient_map`, and the factored start fill `strip_fill`."""
 
     vertices: np.ndarray      # (N,2) Poincare coordinates
     triangles: np.ndarray     # (M,3) CCW
@@ -117,7 +117,7 @@ class DiskMesh:
         block is factored once per mesh (fill-reducing order on A^T + A, as
         the Newton solves take it)."""
         g = self.fem
-        c1 = (g["phiq"] ** 2).sum(axis=1) / 3.0
+        c1 = (self.quadrature["phiq"] ** 2).sum(axis=1) / 3.0
         grads = g["grads"]
         K = p1_matrix(self, g["area"][:, None, None] * (
             c1[:, None, None] * element_dots(grads, grads)))
@@ -133,19 +133,28 @@ class DiskMesh:
         CSR form (`fit_map`): "indptr" and "indices" (int32) and "data", one
         row of coefficients per derivative (du1, du2).  Interior rows
         (`deep_interior_mask(0)`) hold the gradient of the weighted cubic fit
-        over the vertex's 2-ring; rim rows the area-weighted mean of the P1
-        gradients of the cells at the vertex.  At (3.0, 96, 320), 13 MB; the
-        first ring's rows hold about 16 % of the entries, since the central
-        fan puts the whole first ring in each of their 2-rings."""
-        return fit_map(self, 2, rim_average=True)
+        over the vertex's 2-ring; rim rows are empty (`vertex_gradient`
+        takes the P1 average there).  At (3.0, 96, 320), 13 MB; the first
+        ring's rows hold about 16 % of the entries, since the central fan
+        puts the whole first ring in each of their 2-rings."""
+        return fit_map(self, 2)
 
     @cached_property
     def fem(self) -> MappingProxyType:
         """P1 geometry reused by every assembly over the mesh: per-triangle
-        area, basis gradients, midpoint-quadrature weights and slope limit,
-        and the lumped mass m_i = integral phi lambda^2 N_i."""
+        area, basis gradients and slope limit (`p1_slopes`)."""
+        area, grads, slope_limit2 = p1_slopes(self.vertices[self.triangles])
+        geom = dict(area=area, grads=grads, slope_limit2=slope_limit2)
+        return MappingProxyType({k: _read_only(v) for k, v in geom.items()})
+
+    @cached_property
+    def quadrature(self) -> MappingProxyType:
+        """The midpoint rule of the area functional's assemblies (residual,
+        stiffness, area): per triangle wq = phi / lambda, phiq and lam2q at
+        the midpoints opposite each corner (M, 3), and the lumped mass
+        m_i = integral phi lambda^2 N_i.  Apart from `fem`, so that a disk
+        that only reads its metric (a clipped horosphere) does not hold it."""
         p = self.vertices[self.triangles]  # (M,3,2)
-        area, grads, slope_limit2 = p1_slopes(p)
         # midpoint quadrature (degree-2 exact): points opposite each vertex
         mids = np.stack(
             [(p[:, 1] + p[:, 2]) / 2, (p[:, 2] + p[:, 0]) / 2,
@@ -159,12 +168,10 @@ class DiskMesh:
         w = phiq * lam2q  # (M,3) at midpoints opposite each vertex
         # N_k vanishes at its opposite midpoint and is 1/2 at the other two
         mass = corner_sum(
-            self, (w.sum(axis=1)[:, None] - w) * 0.5 * area[:, None] / 3.0)
-        geom = dict(
-            area=area, grads=grads, wq=wq, phiq=phiq, lam2q=lam2q,
-            slope_limit2=slope_limit2, mass=mass,
-        )
-        return MappingProxyType({k: _read_only(v) for k, v in geom.items()})
+            self, (w.sum(axis=1)[:, None] - w) * 0.5
+            * self.fem["area"][:, None] / 3.0)
+        quad = dict(wq=wq, phiq=phiq, lam2q=lam2q, mass=mass)
+        return MappingProxyType({k: _read_only(v) for k, v in quad.items()})
 
 
 def p1_slopes(p):
@@ -381,35 +388,12 @@ def two_ring(mesh: DiskMesh):
     return A2.indptr, A2.indices
 
 
-def _p1_average_rows(mesh: DiskMesh, rows):
-    """CSR rows (indptr, indices, data (2, nnz)) of the area-weighted mean of
-    the P1 gradients of the cells at each vertex of the mask `rows`, columns
-    sorted; the other rows are empty."""
-    t = mesh.triangles
-    g = mesh.fem
-    n = mesh.n_vertices
-    cell, corner = np.nonzero(rows[t])
-    key = t[cell, corner][:, None].astype(np.int64) * n + t[cell]
-    code = sorted_unique(key)
-    at = np.searchsorted(code, key.ravel())
-    vals = g["area"][cell, None, None] * g["grads"][cell]   # (K, 3, 2)
-    row = code // n
-    share = corner_sum(mesh, g["area"][:, None])[row]
-    data = np.stack([np.bincount(at, vals[..., d].ravel(),
-                                 minlength=len(code)) / share
-                     for d in range(2)])
-    ptr = np.searchsorted(row, np.arange(n + 1))
-    return ptr, (code % n).astype(np.int32), data
-
-
-def fit_map(mesh: DiskMesh, n_derivs, rim_average=False):
+def fit_map(mesh: DiskMesh, n_derivs):
     """The first `n_derivs` of (du1, du2, u11, u12, u22) of the weighted
     cubic fit over each interior vertex's 2-ring (`deep_interior_mask(0)`),
     as a linear map of the vertex values: a MappingProxyType with CSR
     "indptr" and "indices" (int32) and "data" (n_derivs, nnz), read-only.
-    Rim rows, whose one-sided stencils are ill-conditioned, hold the
-    area-weighted mean of the P1 gradients at the vertex if `rim_average`
-    (n_derivs 2), else nothing.
+    Rim rows, whose one-sided stencils are ill-conditioned, are empty.
 
     Offsets x to the 2-ring are scaled by the mean stencil length s and
     weighted by w = 1/(1+|x|^2).  The normal matrix ATA[a, b] = sum w
@@ -427,18 +411,10 @@ def fit_map(mesh: DiskMesh, n_derivs, rim_average=False):
     ptr2, cols2 = two_ring(mesh)
     lens = np.diff(ptr2)
     counts = np.where(inner, lens, 0)
-    if rim_average:
-        rim_ptr, rim_cols, rim_data = _p1_average_rows(mesh, ~inner)
-        counts += np.diff(rim_ptr)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty((n_derivs, indptr[-1]))
-    if rim_average:
-        row = np.repeat(np.arange(n), np.diff(rim_ptr))
-        at = indptr[row] + np.arange(len(row)) - rim_ptr[row]
-        indices[at] = rim_cols
-        data[:, at] = rim_data
     shift = indptr[:-1] - ptr2[:-1]   # where an interior row moves to
     yt = mesh.vertices.T.copy()
     for v0, v1, lo, hi in vertex_blocks(ptr2):
@@ -471,10 +447,13 @@ def _fit_coefficients(x, lens, n_derivs):
     ATA = np.add.reduceat(powers, seg, axis=1).T[:, _ATA_ROWS]
     eye = np.eye(len(_FIT_EXP))
     ATA += FIT_RIDGE * eye
-    Z = np.linalg.solve(ATA, eye[:, :2])
+    # right-hand sides with the batch axis spelled out, so that every numpy
+    # reads them as a stack of matrices
+    rhs = np.broadcast_to(eye, ATA.shape)
+    Z = np.linalg.solve(ATA, rhs[..., :2])
     if n_derivs > 2:
         Z = np.concatenate(
-            [Z, np.linalg.solve(ATA, eye[:, 2:n_derivs])], axis=-1)
+            [Z, np.linalg.solve(ATA, rhs[..., 2:n_derivs])], axis=-1)
     factor, power = np.array(_FIT_DERIVS[:n_derivs]).T
     Z *= (factor / s[:, None] ** power)[:, None]
     # per entry, the fixed-order sum over the basis terms

@@ -95,10 +95,10 @@ class SolveConfig:
 
     A config owns the disks of its stages: `meshes` builds them on first
     use, and every solve with the config shares them and the mesh-only data
-    they cache on first use (see `DiskMesh`): the P1 geometry, the start's
-    factored fill, and for the analysis the vertex gradient as one sparse
-    map.  Solves leave no other state on it, so one config serves any
-    number of curves.
+    they cache on first use (see `DiskMesh`): the P1 geometry and midpoint
+    rule, the start's factored fill, and for the analysis the vertex
+    gradient as one sparse map.  Solves leave no other state on it, so one
+    config serves any number of curves.
     """
 
     # (radius, n_rings, n_angular) per disk; one disk by default, since its
@@ -211,7 +211,7 @@ def _interior_solve(K, rhs, interior):
 def residual_norms(mesh: MS.DiskMesh, u):
     """(sup |H| over interior, residual F, margins)."""
     F, margins = SF.residual(mesh, u)
-    H = -F / mesh.fem["mass"]
+    H = -F / mesh.quadrature["mass"]
     sup = float(np.abs(H[mesh.interior_mask]).max())
     return sup, F, margins
 
@@ -239,7 +239,7 @@ def flow_step(state: FlowState, cfg: SolveConfig) -> FlowState:
     u = state.surface.u
     interior = mesh.interior_mask
     supH, F, _ = residual_norms(mesh, u)
-    m = mesh.fem["mass"]
+    m = mesh.quadrature["mass"]
     y = mesh.vertices
     r2 = (y**2).sum(axis=1)
     phi = (1 + r2) / (1 - r2)

@@ -109,12 +109,12 @@ def recovered_gradient(mesh: DiskMesh, u):
 def residual(mesh: DiskMesh, u):
     """F_i(u) = integral phi^2 v grad u . grad N_i; the negative of the
     area gradient.  Returns (F, per-triangle margins)."""
-    g = mesh.fem
+    g, q = mesh.fem, mesh.quadrature
     gu = triangle_gradients(mesh, u)
     margins = 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
-    vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
+    vq = 1.0 / np.sqrt(np.maximum(1.0 - q["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
                                   CONE_FLOOR))    # (M,3)
-    coeff = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
+    coeff = (q["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
     flux = coeff[:, None] * gu * g["area"][:, None]
     F = corner_sum(mesh, (flux[:, None] * g["grads"]).sum(axis=-1))
     return F, margins
@@ -166,12 +166,12 @@ def mean_curvature_pointwise(S: SpacelikeGraph):
 
 def tangent_stiffness(mesh: DiskMesh, u):
     """Sparse SPD Jacobian dF/du (frozen geometry, exact linearization)."""
-    g = mesh.fem
+    g, q = mesh.fem, mesh.quadrature
     gu = triangle_gradients(mesh, u)
     gu2 = (gu**2).sum(axis=1)
-    vq = 1.0 / np.sqrt(np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], CONE_FLOOR))
-    c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
-    c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
+    vq = 1.0 / np.sqrt(np.maximum(1.0 - q["wq"] ** 2 * gu2[:, None], CONE_FLOOR))
+    c1 = (q["phiq"] ** 2 * vq).sum(axis=1) / 3.0
+    c2 = (q["phiq"] ** 2 * vq**3 * q["wq"] ** 2).sum(axis=1) / 3.0
     # element matrices area (c1 grad N_a . grad N_b + c2 gN_a gN_b), with
     # gN_a = grad u . grad N_a taken once per corner
     gN = (gu[:, None] * g["grads"]).sum(axis=-1)
@@ -184,12 +184,12 @@ def tangent_stiffness(mesh: DiskMesh, u):
 
 def graph_area(mesh: DiskMesh, u):
     """The concave area functional maximized by maximal surfaces."""
-    g = mesh.fem
+    q = mesh.quadrature
     gu2 = (triangle_gradients(mesh, u) ** 2).sum(axis=1)
-    integ = (g["lam2q"] * np.sqrt(
-        np.maximum(1.0 - g["wq"] ** 2 * gu2[:, None], 0.0)
+    integ = (q["lam2q"] * np.sqrt(
+        np.maximum(1.0 - q["wq"] ** 2 * gu2[:, None], 0.0)
     )).sum(axis=1) / 3.0
-    return float((integ * g["area"]).sum())
+    return float((integ * mesh.fem["area"]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +216,13 @@ def chart_frame(y, t):
 
 
 def vertex_gradient(S: SpacelikeGraph):
-    """Per-vertex gradient of u: the cubic fit's gradient, and on the rim,
-    which the fit leaves out, the area-weighted P1 average.  Both are linear
-    in u, so a call is two sparse mat-vecs of the disk's cached
-    `DiskMesh.gradient_map`."""
+    """Per-vertex gradient of u.  Inside, the cubic fit's gradient: two
+    sparse mat-vecs of the disk's cached `DiskMesh.gradient_map`.  On the
+    rim, which the fit leaves out, the area-weighted P1 average
+    (`recovered_gradient`)."""
     du = apply_map(S.mesh.gradient_map, np.asarray(S.u, dtype=float))
+    rim = ~S.mesh.deep_interior_mask(0)
+    du[rim] = recovered_gradient(S.mesh, S.u)[rim]
     # clamp into the spacelike cone (fit overshoot near steep rims)
     w = (1 + (S.mesh.vertices**2).sum(axis=1)) / 2
     norm = np.sqrt((du**2).sum(axis=1))

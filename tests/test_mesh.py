@@ -136,9 +136,9 @@ class TestPolarInterp:
 class TestMeshCache:
     def test_cache_dies_with_mesh(self):
         m = MM.make_mesh(1.5, 8, 24)
-        SF.triangle_margins(m, np.zeros(m.n_vertices))
+        SF.residual(m, np.zeros(m.n_vertices))
         SF.vertex_gradient(SF.SpacelikeGraph(m, np.zeros(m.n_vertices)))
-        assert "gradient_map" in vars(m)
+        assert {"fem", "quadrature", "gradient_map"} <= set(vars(m))
         ref = weakref.ref(m)
         del m
         gc.collect()
@@ -146,11 +146,12 @@ class TestMeshCache:
 
     def test_cached_arrays_are_read_only(self):
         m = MM.make_mesh(1.5, 8, 24)
-        arrays = [m.edges, *m.fem.values(), *m.gradient_map.values()]
+        arrays = [m.edges, *m.fem.values(), *m.quadrature.values(),
+                  *m.gradient_map.values()]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
-        for cache in (m.fem, m.gradient_map):
+        for cache in (m.fem, m.quadrature, m.gradient_map):
             with pytest.raises(TypeError):
                 cache["area"] = None
 
@@ -191,12 +192,12 @@ class TestP1Scatter:
     def test_tangent_stiffness_matches_coo_loop(self):
         m = MM.make_mesh(1.5, 8, 24)
         u = SF.umbilic_surface(m, 0.4).u
-        g = m.fem
+        g, q = m.fem, m.quadrature
         gu = SF.triangle_gradients(m, u)
         vq = 1.0 / np.sqrt(np.maximum(
-            1.0 - g["wq"] ** 2 * (gu**2).sum(axis=1)[:, None], 1e-14))
-        c1 = (g["phiq"] ** 2 * vq).sum(axis=1) / 3.0
-        c2 = (g["phiq"] ** 2 * vq**3 * g["wq"] ** 2).sum(axis=1) / 3.0
+            1.0 - q["wq"] ** 2 * (gu**2).sum(axis=1)[:, None], 1e-14))
+        c1 = (q["phiq"] ** 2 * vq).sum(axis=1) / 3.0
+        c2 = (q["phiq"] ** 2 * vq**3 * q["wq"] ** 2).sum(axis=1) / 3.0
         rows, cols, vals = [], [], []
         for a in range(3):
             ga = g["grads"][:, a]
