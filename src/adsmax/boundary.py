@@ -16,7 +16,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ive
 
 from . import lorentz as L
@@ -58,7 +57,7 @@ class CircleHomeo:
     F(x + 2pi) = F(x) + 2pi.
 
     The closed-form families pass their formula; `from_knots` builds the
-    lift of sampled data.
+    piecewise-linear lift of sampled data.
     """
 
     F: Callable
@@ -70,8 +69,9 @@ class CircleHomeo:
     @staticmethod
     def from_knots(x, y) -> "CircleHomeo":
         """Lift through knots x in [0, 2pi) with lifted values y, both
-        strictly increasing with winding 1: a PCHIP interpolant on a
-        periodically padded window keeps it monotone between the knots."""
+        strictly increasing with winding 1: linear between consecutive
+        knots, the wrap interval included, as F(v) - v is interpolated
+        with period 2pi.  Monotone, of degree one, not C^1 at the knots."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 4:
@@ -81,16 +81,7 @@ class CircleHomeo:
         wrap = np.diff(np.concatenate([y, [y[0] + TWO_PI]]))
         if np.any(wrap <= 0):
             raise ValueError("knot values must be strictly increasing with winding 1")
-        pad = 3
-        xx = np.concatenate([x[-pad:] - TWO_PI, x, x[:pad] + TWO_PI])
-        yy = np.concatenate([y[-pad:] - TWO_PI, y, y[:pad] + TWO_PI])
-        interp = PchipInterpolator(xx, yy)
-
-        def F(v):
-            k = np.floor(v / TWO_PI)
-            return interp(v - TWO_PI * k) + TWO_PI * k
-
-        return CircleHomeo(F)
+        return CircleHomeo(lambda v: v + np.interp(v, x, y - x, period=TWO_PI))
 
     def lift(self, x):
         """Monotone lift: F(x + 2pi) = F(x) + 2pi."""
@@ -192,22 +183,10 @@ class BoundaryCurve:
         return out if out.ndim else float(out)
 
     def resample(self, n: int) -> "BoundaryCurve":
-        """Uniform-theta resampling of the graph.
-
-        Monotone-cubic when the result stays achronal (smooth curves),
-        falling back to linear interpolation, which always does.
-        """
-        pad = 3
-        th = np.concatenate([
-            self.theta[-pad:] - TWO_PI, self.theta, self.theta[:pad] + TWO_PI
-        ])
-        ta = np.concatenate([self.tau[-pad:], self.tau, self.tau[:pad]])
+        """The graph at n uniform theta, by `tau_of_theta`'s linear rule,
+        which keeps the curve achronal."""
         q = np.linspace(0, TWO_PI, n, endpoint=False)
-        qq = np.mod(q - th[0], TWO_PI) + th[0]
-        try:
-            return BoundaryCurve(q, PchipInterpolator(th, ta)(qq))
-        except ValueError:
-            return BoundaryCurve(q, self.tau_of_theta(q))
+        return BoundaryCurve(q, self.tau_of_theta(q))
 
     def max_lightlike_run(self) -> int:
         """Longest run of cells with |dtau/dtheta| >= 1 - LIGHTLIKE_RUN_TOL.

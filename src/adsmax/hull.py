@@ -100,7 +100,7 @@ def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
         return ConvexHull3(curve, t0, z, True, None, None, None)
     try:
         q = QHull(z)
-    except QhullError as exc:  # nearly planar input
+    except QhullError:  # nearly planar input
         return ConvexHull3(curve, t0, z, True, None, None, None)
     nt = q.equations[:, 2]
     labels = np.where(

@@ -107,6 +107,8 @@ class SolveConfig:
     tol_H: ClassVar[float] = MEAN_CURV_TOL
 
     def __post_init__(self):
+        if not self.stages:
+            raise ValueError("need at least one stage")
         radii = [s[0] for s in self.stages]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("stage radii must be strictly increasing")

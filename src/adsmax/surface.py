@@ -34,7 +34,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from . import lorentz as L
 from .constants import (
@@ -71,15 +70,13 @@ def triangle_gradients(mesh: DiskMesh, u):
     return np.einsum("mk,mkd->md", ut, g["grads"])
 
 
-def _slope_margins(triangles, grads, slope_limit2, u):
-    gu = np.einsum("mk,mkd->md", np.asarray(u, dtype=float)[triangles], grads)
+def _slope_margins(gu, slope_limit2):
     return 1.0 - (gu**2).sum(axis=1) / slope_limit2
 
 
 def triangle_margins(mesh: DiskMesh, u):
     """Per-triangle spacelike margin 1 - |grad u|^2 / slope_limit^2."""
-    g = mesh.fem
-    return _slope_margins(mesh.triangles, g["grads"], g["slope_limit2"], u)
+    return _slope_margins(triangle_gradients(mesh, u), mesh.fem["slope_limit2"])
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def residual(mesh: DiskMesh, u):
     area gradient.  Returns (F, per-triangle margins)."""
     g, q = mesh.fem, mesh.quadrature
     gu = triangle_gradients(mesh, u)
-    margins = 1.0 - (gu**2).sum(axis=1) / g["slope_limit2"]
+    margins = _slope_margins(gu, g["slope_limit2"])
     vq = 1.0 / np.sqrt(np.maximum(1.0 - q["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
                                   CONE_FLOOR))    # (M,3)
     coeff = (q["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
@@ -531,7 +528,8 @@ def _horosphere_graph(y, triangles, rot, rotation):
     dropped, since only the returned disk builds it."""
     u = horosphere_height(y @ rot.T if rotation != 0.0 else y)
     _, grads, slope_limit2 = p1_slopes(y[triangles])
-    return u, float(_slope_margins(triangles, grads, slope_limit2, u).min())
+    gu = np.einsum("mk,mkd->md", u[triangles], grads)
+    return u, float(_slope_margins(gu, slope_limit2).min())
 
 
 def equidistant_prediction(k0, r):
@@ -556,6 +554,10 @@ def equidistant(S: SpacelikeGraph, r: float,
         raise ValueError("focal point crossed: principal curvature leaves (-1,1)")
     if kmax >= 1.0:
         raise ValueError("principal curvatures must lie in (-1,1)")
+    # imported here, not at module level: this test-only paper check is
+    # their one reader, and scipy.interpolate pulls in scipy.optimize
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+
     X = graph_points(S)
     nu = sd.nu
     Xr = np.cos(r) * X + np.sin(r) * nu

@@ -54,7 +54,7 @@ class TestCircleHomeo:
             B.CircleHomeo.from_knots(x, y)
 
     def test_interpolant_monotone(self):
-        # PCHIP between strictly increasing knots stays strictly increasing
+        # linear between strictly increasing knots stays increasing
         rng = np.random.default_rng(1)
         x = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         y = np.cumsum(rng.uniform(0.01, 1.0, 32))
@@ -63,6 +63,22 @@ class TestCircleHomeo:
         s = np.linspace(0, 2 * np.pi, 2000)
         F = f.lift(s)
         assert np.all(np.diff(F) >= 0)
+
+    def test_knots_are_kept_and_joined_by_chords(self):
+        # through each knot to round-off, and affine on every interval
+        # between consecutive knots, the wrap interval included
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(0, 2 * np.pi, 12))
+        y = np.cumsum(rng.uniform(0.01, 1.0, 12))
+        y = y / (y[-1] + 0.4) * 2 * np.pi + 0.2
+        f = B.CircleHomeo.from_knots(x, y)
+        assert np.abs(f.lift(x) - y).max() < 1e-14
+        xs = np.concatenate([x, [x[0] + 2 * np.pi]])
+        ys = np.concatenate([y, [y[0] + 2 * np.pi]])
+        t = np.linspace(0, 1, 7)
+        for a, b, fa, fb in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+            chord = fa + t * (fb - fa)
+            assert np.abs(f.lift(a + t * (b - a)) - chord).max() < 1e-13
 
     def test_degree_one(self):
         f = B.step_family(0.6)
@@ -218,6 +234,24 @@ class TestLiftGraph:
         c2 = B.lift_graph(f, 800).transform(L.Isometry3(m2.inverse(), m1))
         dev = np.angle(np.exp(1j * (c1.tau_of_theta(c2.theta) - c2.tau)))
         assert np.abs(dev).max() < 1e-4
+
+
+class TestResample:
+    def test_is_the_linear_rule_at_uniform_theta(self):
+        c = B.lift_graph(B.step_family(0.5), 300)
+        q = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+        r = c.resample(128)
+        assert np.array_equal(r.theta, q)
+        assert np.array_equal(r.tau, c.tau_of_theta(q))
+
+    def test_constant_tau_mobius_curve_stays_planar(self):
+        # a rotation's graph has constant tau, which the linear rule keeps;
+        # a generic Mobius graph bends between samples and leaves its plane
+        # by the chord error (singular-value ratio ~1e-6 at 512 samples)
+        c = B.lift_graph(B.mobius_boundary(L.MobiusMap.rotation(0.4)), 512)
+        r = c.resample(100)
+        assert c.is_planar() and r.is_planar()
+        assert np.ptp(r.tau) < 1e-12
 
 
 class TestTwoStep:

@@ -1,6 +1,9 @@
 import ast
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -104,3 +107,18 @@ def test_no_exponent_literal_outside_constants():
             if tok.type == tokenize.NUMBER and "e" in s and not s.startswith("0x"):
                 found.append(f"{p.name}:{tok.start[0]}: {tok.string}")
     assert not found
+
+
+def test_import_loads_no_interpolate():
+    # scipy.interpolate pulls in scipy.optimize; only the test-only
+    # `equidistant` reads it, and imports it where it does
+    code = ("import sys\n"
+            "import adsmax.boundary, adsmax.hull, adsmax.mesh, adsmax.surface,"
+            " adsmax.solver\n"
+            "print(*sorted(m for m in ('scipy.interpolate', 'scipy.optimize')"
+            " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

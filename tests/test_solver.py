@@ -19,6 +19,17 @@ def mobius_plane(m):
     return L.normalize_quadric(L.from_matrix(L.adj2(np.linalg.inv(J) @ m.m)))
 
 
+class TestSolveConfig:
+    # an empty config would fail only later, inside solve_maximal
+    @pytest.mark.parametrize("stages, message", [
+        ((), "at least one stage"),
+        (((2.0, 10, 32), (1.4, 8, 24)), "strictly increasing"),
+    ], ids=["empty", "decreasing"])
+    def test_rejects_bad_stages(self, stages, message):
+        with pytest.raises(ValueError, match=message):
+            SV.SolveConfig(stages=stages)
+
+
 class TestSolveMaximal:
     def test_identity_gives_reference_plane(self):
         S, rep = SV.solve_maximal(
