@@ -173,6 +173,63 @@ class TestSolveMaximal:
         assert exc.value.width_report is not None
 
 
+class TestExactSymmetries:
+    """Isometries that the discrete pipeline keeps exactly, so that the
+    solve commutes with them to round-off on the default disk: time
+    translations, the time reversal (theta, -tau), which is the graph of
+    f^-1, and rotations by whole angular steps, which the rings' half-step
+    stagger keeps as mesh symmetries."""
+
+    U_TOL = 1e-13
+    K_TOL = 1e-10
+
+    @pytest.fixture(scope="class", params=["step_0.5", "bump_0.6"])
+    def base(self, request):
+        f = {"step_0.5": B.step_family(0.5),
+             "bump_0.6": B.bump_family(0.6)}[request.param]
+        c = B.lift_graph(f, 512)
+        S, rep = SV.solve_maximal(c)
+        assert rep["converged"]
+        return c, S, rep
+
+    @pytest.mark.parametrize("a", [0.7, 2.0])
+    def test_time_translation_adds_its_shift(self, base, a):
+        c, S, _ = base
+        S_a, rep = SV.solve_maximal(B.BoundaryCurve(c.theta, c.tau + a))
+        assert rep["converged"]
+        assert np.abs(S_a.u - (S.u + a)).max() <= self.U_TOL
+
+    def test_time_reversal_negates_the_graph(self, base):
+        c, S, rep = base
+        S_r, rep_r = SV.solve_maximal(B.BoundaryCurve(c.theta, -c.tau))
+        assert rep_r["converged"]
+        assert np.abs(S_r.u + S.u).max() <= self.U_TOL
+        assert np.float64(rep_r["width"]).tobytes() == np.float64(
+            rep["width"]).tobytes()
+
+    @pytest.mark.parametrize("j", [1, 5])
+    def test_rotation_by_whole_angular_steps(self, base, j):
+        c, S, _ = base
+        mesh = S.mesh
+        step = 2 * np.pi / mesh.n_angular
+        theta = np.mod(c.theta + j * step, 2 * np.pi)
+        order = np.argsort(theta)
+        S_j, rep = SV.solve_maximal(B.BoundaryCurve(theta[order],
+                                                    c.tau[order]))
+        assert rep["converged"]
+        # vertices by (ring_index, theta in half steps); the centre is fixed
+        half = np.rint(2 * mesh.theta / step).astype(int)
+        at = {(r, h): v for v, (r, h) in
+              enumerate(zip(mesh.ring_index, half))}
+        image = np.array([at[r, (h + 2 * j * (r > 0)) % (2 * mesh.n_angular)]
+                          for r, h in zip(mesh.ring_index, half)])
+        assert np.abs(S_j.u[image] - S.u).max() <= self.U_TOL
+        k1, k1_j = SF.shape_data(S).k1, SF.shape_data(S_j).k1[image]
+        assert np.array_equal(np.isnan(k1), np.isnan(k1_j))
+        ok = ~np.isnan(k1)
+        assert np.abs(k1_j[ok] - k1[ok]).max() <= self.K_TOL
+
+
 class TestStartFill:
     def test_fill_solves_the_zero_graph_tangent_system(self):
         # the fill's matrix is the tangent stiffness at u = 0, bit for bit
