@@ -39,7 +39,7 @@ class ConvexHull3:
     t_shift: float                 # time translation applied before hulling
     points: np.ndarray             # (K,3) chart samples (recentered frame)
     planar: bool
-    equations: np.ndarray | None   # (F,4): a.z + b <= 0 inside
+    equations: np.ndarray          # (F,4): a.z + b <= 0 inside; planar: p, -p
     simplices: np.ndarray | None   # (F,3) indices into points
     labels: np.ndarray | None      # (F,): -1 past, 0 vertical, +1 future
 
@@ -96,12 +96,14 @@ def convex_hull(curve: BoundaryCurve) -> ConvexHull3:
     to a planar hull, flagged rather than rejected.
     """
     t0, z = _recentered_samples(curve)
-    if curve.is_planar():
-        return ConvexHull3(curve, t0, z, True, None, None, None)
     try:
-        q = QHull(z)
+        q = None if curve.is_planar() else QHull(z)
     except QhullError:  # nearly planar input
-        return ConvexHull3(curve, t0, z, True, None, None, None)
+        q = None
+    if q is None:  # the least-squares plane, as two half-spaces
+        A = np.column_stack([z, np.ones(len(z))])
+        p = np.linalg.svd(A, full_matrices=False)[2][-1]
+        return ConvexHull3(curve, t0, z, True, np.stack([p, -p]), None, None)
     nt = q.equations[:, 2]
     labels = np.where(
         np.abs(nt) <= VERTICAL_FACET_TOL, 0, np.where(nt > 0, 1, -1)
@@ -288,10 +290,6 @@ def hull_heights(hull: ConvexHull3, y):
     h = L.poincare_to_hyperboloid(y)
     k = h[:, :2] / h[:, 2:3]  # Klein coordinates
     eq = hull.equations
-    if hull.planar:  # the plane through the curve, as two half-spaces
-        A = np.column_stack([hull.points, np.ones(len(hull.points))])
-        p = np.linalg.svd(A, full_matrices=False)[2][-1]
-        eq = np.stack([p, -p])
     phi = np.arctan2(eq[:, 3], eq[:, 2])
     neg_r = -np.hypot(eq[:, 2], eq[:, 3])
     c = k @ eq[:, :2].T  # (N,F); one product, as BLAS bits depend on the rows

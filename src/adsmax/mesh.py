@@ -249,7 +249,9 @@ def ring_points(rhos, ring, theta):
 
 
 def make_mesh(radius: float, n_rings: int, n_angular: int) -> DiskMesh:
-    """Triangulated disk with 1 + n_rings*n_angular vertices."""
+    """Triangulated disk with 1 + n_rings*n_angular vertices, cells CCW.
+    Raises ValueError where too few angles fold the strips over each other
+    (up to 11 angles at (3.0, 26); (1.8, 7, 6) covers its disk 1.58 times)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if n_rings < 2 or n_angular < 6:
@@ -275,20 +277,17 @@ def make_mesh(radius: float, n_rings: int, n_angular: int) -> DiskMesh:
     a0, a1 = vid(i, j), vid(i, j + 1)
     b0, b1 = vid(i + 1, j), vid(i + 1, j + 1)
     up = (i % 2 == 1)[..., None]  # ring i+1 is offset +1/2 relative to ring i
-    first = np.where(up, np.stack([a0, a1, b0], axis=-1),
-                     np.stack([a0, a1, b1], axis=-1))
-    second = np.where(up, np.stack([a1, b1, b0], axis=-1),
-                      np.stack([a0, b1, b0], axis=-1))
+    first = np.where(up, np.stack([a0, b0, a1], axis=-1),
+                     np.stack([a0, b1, a1], axis=-1))
+    second = np.where(up, np.stack([a1, b0, b1], axis=-1),
+                      np.stack([a0, b0, b1], axis=-1))
     strips = np.stack([first, second], axis=2).reshape(-1, 3)
     triangles = np.concatenate([fan, strips]).astype(np.int32)
 
-    # enforce CCW orientation
     p = vertices[triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    flip = area2 < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    if np.any(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] <= 0):
+        raise ValueError("mesh folds: too few angles for its rings")
 
     return DiskMesh(
         vertices=vertices,

@@ -81,7 +81,9 @@ from .constants import (
 class SolveRejected(RuntimeError):
     """Boundary data rejected.  `reason` is a machine-readable code:
     "width", "lightlike_segment", "slope_limit" or "flow_underflow".
-    `solve_maximal` attaches the width diagnostic."""
+    `solve_maximal` attaches the width diagnostic.  A sampled width only
+    nears pi/2: the two-step curve reads 1.5647 at 512 samples, under the
+    "width" gate, and is rejected as "lightlike_segment" below 4,096."""
 
     def __init__(self, message, reason, width_report=None):
         super().__init__(message)
@@ -176,7 +178,7 @@ def _hull_midsurface(curve, chull, mesh, at):
 
 def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
                   chull: HU.ConvexHull3 | None = None):
-    """Newton's start and the rim gap of the hull.
+    """(u0, rim_gap): Newton's start and the rim gap of the hull.
 
     The hull midsurface (with the clamped rim trace) is taken only on
     `mesh.rim_strip`, the vertices of the rim cells; the other vertices
@@ -192,8 +194,7 @@ def initial_graph(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
     u0 = np.empty(mesh.n_vertices)
     u0[strip], rim_gap = _hull_midsurface(curve, chull, mesh, strip)
     u0[~strip] = mesh.strip_fill(u0[strip])
-    return SF.SpacelikeGraph.certify(mesh, slope_limit(mesh, u0),
-                                     floor=0.0), rim_gap
+    return slope_limit(mesh, u0), rim_gap
 
 
 def _factor(Kii):
@@ -295,7 +296,8 @@ def flow_run(curve: BD.BoundaryCurve, mesh: MS.DiskMesh,
              cfg: SolveConfig | None = None) -> FlowState:
     """Run the flow until sup|H| < tol_H or the step budget is exhausted."""
     cfg = cfg or SolveConfig()
-    S, _ = initial_graph(curve, mesh)
+    S = SF.SpacelikeGraph.certify(mesh, initial_graph(curve, mesh)[0],
+                                  floor=0.0)
     h_min = float(np.sqrt(2 * mesh.fem["area"].min()))
     state = FlowState(surface=S, s=0.0, ds=h_min**2 / 4.0, u0=S.u.copy())
     supH, _, _ = residual_norms(mesh, state.surface.u)
@@ -473,8 +475,7 @@ def solve_maximal(curve: BD.BoundaryCurve, cfg: SolveConfig | None = None):
         radius = mesh.radius
         try:
             if prev_mesh is None:
-                S0, rim_gap = initial_graph(curve, mesh, chull)
-                u0 = S0.u
+                u0, rim_gap = initial_graph(curve, mesh, chull)
             else:
                 u0, rim_gap = warm_start(curve, mesh, prev_mesh, prev_u,
                                          chull)

@@ -70,13 +70,14 @@ def triangle_gradients(mesh: DiskMesh, u):
     return np.einsum("mk,mkd->md", ut, g["grads"])
 
 
-def _slope_margins(gu, slope_limit2):
-    return 1.0 - (gu**2).sum(axis=1) / slope_limit2
+def _slope_margins(gu2, slope_limit2):
+    return 1.0 - gu2 / slope_limit2
 
 
 def triangle_margins(mesh: DiskMesh, u):
     """Per-triangle spacelike margin 1 - |grad u|^2 / slope_limit^2."""
-    return _slope_margins(triangle_gradients(mesh, u), mesh.fem["slope_limit2"])
+    gu = triangle_gradients(mesh, u)
+    return _slope_margins((gu**2).sum(axis=1), mesh.fem["slope_limit2"])
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,9 @@ def residual(mesh: DiskMesh, u):
     area gradient.  Returns (F, per-triangle margins)."""
     g, q = mesh.fem, mesh.quadrature
     gu = triangle_gradients(mesh, u)
-    margins = _slope_margins(gu, g["slope_limit2"])
-    vq = 1.0 / np.sqrt(np.maximum(1.0 - q["wq"] ** 2 * (gu**2).sum(axis=1)[:, None],
-                                  CONE_FLOOR))    # (M,3)
+    gu2 = (gu**2).sum(axis=1)
+    margins = _slope_margins(gu2, g["slope_limit2"])
+    vq = 1.0 / np.sqrt(np.maximum(1.0 - q["wq"] ** 2 * gu2[:, None], CONE_FLOOR))
     coeff = (q["phiq"] ** 2 * vq).sum(axis=1) / 3.0  # quadrature of phi^2 v
     flux = coeff[:, None] * gu * g["area"][:, None]
     F = corner_sum(mesh, (flux[:, None] * g["grads"]).sum(axis=-1))
@@ -529,7 +530,7 @@ def _horosphere_graph(y, triangles, rot, rotation):
     u = horosphere_height(y @ rot.T if rotation != 0.0 else y)
     _, grads, slope_limit2 = p1_slopes(y[triangles])
     gu = np.einsum("mk,mkd->md", u[triangles], grads)
-    return u, float(_slope_margins(gu, slope_limit2).min())
+    return u, float(_slope_margins((gu**2).sum(axis=1), slope_limit2).min())
 
 
 def equidistant_prediction(k0, r):

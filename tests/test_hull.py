@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from adsmax import boundary as B
 from adsmax import hull as HU
@@ -40,10 +41,6 @@ def heights_with_modulo(hull, y):
     h = L.poincare_to_hyperboloid(y)
     k = h[:, :2] / h[:, 2:3]
     eq = hull.equations
-    if hull.planar:
-        A = np.column_stack([hull.points, np.ones(len(hull.points))])
-        p = np.linalg.svd(A, full_matrices=False)[2][-1]
-        eq = np.stack([p, -p])
     phi = np.arctan2(eq[:, 3], eq[:, 2])
     s = -(k @ eq[:, :2].T) / np.hypot(eq[:, 2], eq[:, 3])
     asn = np.arcsin(np.clip(s, -1.0, 1.0))
@@ -167,6 +164,24 @@ class TestConvexHull:
         h = HU.convex_hull(B.lift_graph(B.mobius_boundary(m), 256))
         assert h.planar
         assert HU.width(h).width == 0.0
+
+    def test_qhull_failure_gives_the_plane(self, monkeypatch):
+        # a flat curve that is_planar misses fails in Qhull; the hull is then
+        # the plane of the is_planar path, as its two half-spaces
+        m = L.random_mobius(np.random.default_rng(1), 0.4)
+        c = B.lift_graph(B.mobius_boundary(m), 256)
+        ref = HU.convex_hull(c)
+
+        def flat(points):
+            raise QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(HU, "QHull", flat)
+        monkeypatch.setattr(B.BoundaryCurve, "is_planar", lambda self: False)
+        h = HU.convex_hull(c)
+        assert h.planar and ref.planar
+        assert h.equations.tobytes() == ref.equations.tobytes()
+        lo, hi = HU.hull_heights(h, MESH.vertices)
+        assert np.abs(hi - lo).max() <= 1e-14
 
     def test_rejects_few_samples(self):
         c = B.two_step_curve(16)

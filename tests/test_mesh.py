@@ -47,9 +47,40 @@ def loop_mesh(radius, n_rings, n_angular):
     return vertices, triangles
 
 
+def signed_area(m):
+    """Sum of the cells' signed areas."""
+    p = m.vertices[m.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
+
+
+def clipped(radius, k):
+    """The radius after k of `horosphere_surface`'s 5 % clips."""
+    for _ in range(k):
+        radius *= 0.95
+    return radius
+
+
+# every disk that the tests and the benchmark build, with the clipped
+# horosphere disks
+BUILT = [
+    (1.4, 8, 24), (1.4, 12, 40), (1.5, 8, 24), (1.5, 10, 30), (1.5, 12, 36),
+    (1.8, 7, 9), (1.8, 8, 9), (1.8, 7, 40), (1.8, 8, 40), (1.9, 16, 48),
+    (1.9, 24, 72), (2.0, 8, 24), (clipped(2.0, 4), 8, 24), (2.0, 10, 32),
+    (2.0, 12, 36), (clipped(2.0, 2), 12, 36), (2.0, 16, 48), (2.0, 17, 53),
+    (2.0, 24, 72), (2.0, 32, 96), (2.0, 48, 144), (2.0, 64, 192),
+    (2.2, 20, 64), (2.5, 17, 53), (2.5, 32, 96), (2.5, 37, 41),
+    (3.0, 40, 120), (3.0, 48, 160), (clipped(3.0, 8), 48, 160),
+    (3.0, 96, 320), (clipped(3.0, 6), 96, 320), (3.5, 24, 72),
+    (clipped(3.5, 12), 24, 72), (3.6, 32, 104), (4.2, 38, 124),
+    *((clipped(3.0, k), 26, 84) for k in range(10)),
+]
+
+
 class TestMakeMesh:
+    # 9 is the fewest angles at which both 7 and 8 rings tile the disk
     @pytest.mark.parametrize("n_rings", [7, 8])
-    @pytest.mark.parametrize("n_angular", [6, 40])
+    @pytest.mark.parametrize("n_angular", [9, 40])
     def test_matches_loop_builder(self, n_rings, n_angular):
         m = MM.make_mesh(1.8, n_rings, n_angular)
         vertices, triangles = loop_mesh(1.8, n_rings, n_angular)
@@ -92,6 +123,21 @@ class TestMakeMesh:
             MM.make_mesh(2.0, 1, 48)
         with pytest.raises(ValueError):
             MM.make_mesh(-1.0, 16, 48)
+
+    @pytest.mark.parametrize("stage", [(1.8, 7, 6), (3.0, 26, 9)])
+    def test_rejects_folded_strips(self, stage):
+        # too few angles for the rings: the cells cover the disk 1.58 and
+        # 1.73 times
+        with pytest.raises(ValueError, match="folds"):
+            MM.make_mesh(*stage)
+
+    def test_every_built_disk_tiles_once(self):
+        # the signed cell areas sum to the area of the rim polygon
+        for stage in BUILT:
+            m = MM.make_mesh(*stage)
+            x, y = m.vertices[m.boundary_mask].T
+            polygon = 0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y).sum()
+            assert signed_area(m) == pytest.approx(polygon, rel=1e-12), stage
 
     def test_orientation(self):
         m = MM.make_mesh(2.0, 8, 24)

@@ -28,6 +28,14 @@ class TestSpacelikeGraph:
         with pytest.raises(ValueError):
             SF.SpacelikeGraph.certify(m, 5.0 * m.vertices[:, 0])
 
+    def test_residual_margins_are_triangle_margins(self):
+        # residual takes its margins from the squared gradient norms of its
+        # cone factor; on a steep graph they keep triangle_margins' bits
+        S = SF.horosphere_surface(MM.make_mesh(3.0, 26, 84))
+        assert S.margin < 0.05
+        _, margins = SF.residual(S.mesh, S.u)
+        assert margins.tobytes() == SF.triangle_margins(S.mesh, S.u).tobytes()
+
     def test_two_lipschitz(self):
         # spacelike certificate implies |grad u| <= 2 in disk coordinates
         m = MM.make_mesh(2.0, 16, 48)
