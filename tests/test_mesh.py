@@ -47,13 +47,6 @@ def loop_mesh(radius, n_rings, n_angular):
     return vertices, triangles
 
 
-def signed_area(m):
-    """Sum of the cells' signed areas."""
-    p = m.vertices[m.triangles]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
-
-
 def clipped(radius, k):
     """The radius after k of `horosphere_surface`'s 5 % clips."""
     for _ in range(k):
@@ -135,9 +128,12 @@ class TestMakeMesh:
         # the signed cell areas sum to the area of the rim polygon
         for stage in BUILT:
             m = MM.make_mesh(*stage)
+            p = m.vertices[m.triangles]
+            e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+            area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
             x, y = m.vertices[m.boundary_mask].T
             polygon = 0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y).sum()
-            assert signed_area(m) == pytest.approx(polygon, rel=1e-12), stage
+            assert area == pytest.approx(polygon, rel=1e-12), stage
 
     def test_orientation(self):
         m = MM.make_mesh(2.0, 8, 24)
